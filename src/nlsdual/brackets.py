@@ -96,20 +96,15 @@ def leibniz_bracket(f: DiffPoly, g: DiffPoly, table: BracketTable) -> DiffPoly:
     differentiated coordinates are rejected.
     """
     cset = set(table.coords)
-    for h in (f, g):
-        bad = h.jets() - cset
-        if bad:
-            raise ValueError(f"undeclared jets in bracket argument: {sorted(bad, key=JetVar.sort_key)}")
-    out = _Z
-    for (a, b), t in table.entries.items():
-        fa = f.diff(a)
-        if fa.is_zero():
-            continue
-        gb = g.diff(b)
-        if gb.is_zero():
-            continue
-        out = out + fa * gb * t
-    return out
+    f_jets, g_jets = f.jets(), g.jets()
+    bad = (f_jets | g_jets) - cset
+    if bad:
+        raise ValueError(f"undeclared jets in bracket argument: {sorted(bad, key=JetVar.sort_key)}")
+    # one partial derivative per jet present; none of them is zero
+    df = {a: f.diff(a) for a in f_jets}
+    dg = {b: g.diff(b) for b in g_jets}
+    return DiffPoly.sum(df[a] * dg[b] * t for (a, b), t in table.entries.items()
+                        if a in df and b in dg)
 
 
 def jacobi_defect(table: BracketTable, a: JetVar, b: JetVar, c: JetVar) -> DiffPoly:
@@ -121,92 +116,59 @@ def jacobi_defect(table: BracketTable, a: JetVar, b: JetVar, c: JetVar) -> DiffP
     return out
 
 
-def _prolong(v: JetVar, w, k: int = 1) -> JetVar:
-    for _ in range(k):
-        v = v.prolong_x() if w == "x" else v.prolong_t(w[1])
-    return v
-
-
-def _d_along(e: DiffPoly, w) -> DiffPoly:
-    return e.d_x() if w == "x" else e.d_t(w[1])
-
-
-def _euler_along(h: DiffPoly, base: JetVar, w, max_order: int = 12) -> DiffPoly:
-    """sum_k (-d_w)^k dh/d(base prolonged k times in w)."""
-    out = _Z
-    for k in range(max_order + 1):
-        term = h.diff(_prolong(base, w, k))
-        if term.is_zero():
-            continue
-        for _ in range(k):
-            term = -_d_along(term, w)
-        out = out + term
-    return out
-
-
 def hamiltonian_flows(h: DiffPoly, table: BracketTable, w) -> dict[JetVar, DiffPoly]:
     """Flow {integral of h, c} for every coordinate c of the table.
 
     ``w`` is the variable the bracket is ultralocal in; h may contain
     w-prolongations of the coordinates (and nothing else).
     """
+    return _flows(h, table, w, table.coords)
+
+
+def _flows(h: DiffPoly, table: BracketTable, w, targets) -> dict[JetVar, DiffPoly]:
+    """{integral of h, c} for the coordinates c in ``targets``."""
     for v in h.jets():
         if _strip_prolongation(v, table.coords, w) is None:
             raise ValueError(f"density contains undeclared jet {v}")
+    euler: dict[JetVar, DiffPoly] = {}    # each coordinate's Euler derivative, once
     flows = {}
-    for c in table.coords:
-        acc = _Z
+    for c in targets:
+        terms = []
         for b in table.coords:
             t = table.entry(b, c)
             if t.is_zero():
                 continue
-            eb = _euler_along(h, b, w)
-            if eb.is_zero():
-                continue
-            acc = acc + eb * t
-        flows[c] = acc
+            if b not in euler:
+                euler[b] = h.euler_along(b, w)
+            terms.append(euler[b] * t)
+        flows[c] = DiffPoly.sum(terms)
     return flows
 
 
 def _strip_prolongation(v: JetVar, coords: Sequence[JetVar], w):
     """The coordinate that v is a w-prolongation of, or None."""
     for c in coords:
-        if v.field != c.field:
-            continue
-        if w == "x":
-            if v.dt == c.dt and v.dx >= c.dx:
-                return c
-        else:
-            n = w[1]
-            vd, cd = dict(v.dt), dict(c.dt)
-            if v.dx == c.dx and vd.get(n, 0) >= cd.get(n, 0):
-                rest_v = {k: o for k, o in vd.items() if k != n}
-                rest_c = {k: o for k, o in cd.items() if k != n}
-                if rest_v == rest_c:
-                    return c
+        if v.prolongation_depth(c, w) is not None:
+            return c
     return None
 
 
 def integral_bracket(h: DiffPoly, g: DiffPoly, table: BracketTable, w) -> DiffPoly:
     """{integral of h, g} for a local polynomial g in the coordinates and
     their w-prolongations."""
-    flows = hamiltonian_flows(h, table, w)
-    out = _Z
+    # (v, c, k) for every jet v of g that is a coordinate c prolonged k times
+    parts = []
     for v in g.jets():
-        base = _strip_prolongation(v, table.coords, w)
-        if base is None:
+        found = [(v, c, k) for c in table.coords if (k := v.prolongation_depth(c, w)) is not None]
+        if not found:
             raise ValueError(f"undeclared jet {v} in bracket argument")
-    for c in table.coords:
-        for k in range(0, 12):
-            vk = _prolong(c, w, k)
-            gk = g.diff(vk)
-            if gk.is_zero():
-                continue
-            fl = flows[c]
-            for _ in range(k):
-                fl = _d_along(fl, w)
-            out = out + gk * fl
-    return out
+        parts += found
+    # d_w^k of each flow, built up once per coordinate
+    lifted = {c: [fl] for c, fl in _flows(h, table, w, {c for _, c, _ in parts}).items()}
+    for _, c, k in parts:
+        while len(lifted[c]) <= k:
+            lifted[c].append(lifted[c][-1].d_along(w))
+    return DiffPoly.sum(g.diff(v) * lifted[c][k] for v, c, k in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -305,7 +267,7 @@ def byparts_normal_form(h: DiffPoly, max_steps: int = 400) -> DiffPoly:
     for mono in sorted(cur.terms, key=lambda m: tuple(v.sort_key() for v in m)):
         if mono in done or mono not in cur.terms:
             continue
-        conj = tuple(sorted(v.conjugate_var() for v in mono))
+        conj = tuple(sorted((v.conjugate_var() for v in mono), key=JetVar.sort_key))
         if conj == mono or conj in done:
             continue
         done.add(mono)
@@ -416,21 +378,26 @@ class Reduction:
         return rules
 
 
-def full_euler(L: DiffPoly, fld: str, level: int, max_order: int = 10) -> DiffPoly:
-    """Variational derivative over both x and t_level derivatives."""
-    out = _Z
-    for k in range(max_order + 1):
-        for l in range(0, 3):
-            dt = ((level, l),) if l else ()
-            term = L.diff(JetVar(fld, k, dt))
-            if term.is_zero():
-                continue
-            for _ in range(k):
-                term = -term.d_x()
-            for _ in range(l):
-                term = -term.d_t(level)
-            out = out + term
-    return out
+def full_euler(L: DiffPoly, fld: str, level: int) -> DiffPoly:
+    """Variational derivative over both x and t_level derivatives.
+
+    Sums over the jets of ``fld`` present in L, so no order is cut off; a
+    jet of ``fld`` that is not an x/t_level-derivative raises.
+    """
+    terms = []
+    for v in L.jets():
+        if v.field != fld:
+            continue
+        l = v.prolongation_depth(JetVar(fld, v.dx), ("t", level))
+        if l is None:
+            raise ValueError(f"jet {v} is not an x/t_{level} derivative of {fld}")
+        term = L.diff(v)
+        for _ in range(v.dx):
+            term = -term.d_x()
+        for _ in range(l):
+            term = -term.d_t(level)
+        terms.append(term)
+    return DiffPoly.sum(terms)
 
 
 def ostrogradski_reduce(L: DiffPoly, max_x_order: int | None = None) -> Reduction:
@@ -578,7 +545,7 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
         raise ValueError("direction must be 'time' or 'space'")
 
     momenta = [_momentum_of(c) for c in coords]
-    velocities = [_prolong(c, xi) for c in coords]
+    velocities = [c.prolong_along(xi) for c in coords]
 
     # momentum relations
     pi_exprs = [Lwork.diff(v) for v in velocities]

@@ -104,12 +104,9 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
     inv2c = (c_lead * Coeff.make(2)).inverse()
     Xd = {j: X.diag_part().lam_coeff(j) for j in range(N + 1)}
     Xo = {j: X.off_part().lam_coeff(j) for j in range(N + 1)}
-    xi = X.xi
 
     def d_xi(e: Entry2) -> Entry2:
-        if xi == "x":
-            return tuple(x.d_x() for x in e)
-        return tuple(x.d_t(xi[1]) for x in e)
+        return tuple(x.d_along(X.xi) for x in e)
 
     def ad_inv(R: Entry2) -> Entry2:
         if not (R[0].is_zero() and R[3].is_zero()):
@@ -158,12 +155,9 @@ def riccati_residual(X: LaxMatrix, W: WSeries) -> dict[int, Entry2]:
     K = W.order
     Xd = {j: X.diag_part().lam_coeff(j) for j in range(N + 1)}
     Xo = {j: X.off_part().lam_coeff(j) for j in range(N + 1)}
-    xi = X.xi
 
     def d_xi(e: Entry2) -> Entry2:
-        if xi == "x":
-            return tuple(x.d_x() for x in e)
-        return tuple(x.d_t(xi[1]) for x in e)
+        return tuple(x.d_along(X.xi) for x in e)
 
     res = {}
     lo = -(K - N) if K > N else 0
@@ -228,27 +222,16 @@ def density_ladder(X: LaxMatrix, count: int) -> list[DiffPoly]:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(n: int, j: int):
-    if j == 1:
-        yield (n,)
-        return
-    for first in range(1, n - j + 2):
-        for rest in _compositions(n - first, j - 1):
-            yield (first,) + rest
+def _neumann_series(W: WSeries, n: int) -> list[Entry2]:
+    """inv[0..n]: the mu^-k coefficients of the Neumann series (1+W(mu))^-1.
 
-
-def _alternating_products(W: WSeries, n: int) -> Entry2:
-    """sum_{j=1}^n (-1)^j sum over ordered compositions m_1+..+m_j = n of
-    W^(m_1) ... W^(m_j); this is the 1/mu^n coefficient of (1+W)^-1 - 1."""
-    total = _zeros2()
-    for j in range(1, n + 1):
-        sgn = (-1) ** j
-        for comp in _compositions(n, j):
-            prod = None
-            for m in comp:
-                prod = W.w(m) if prod is None else _mul2(prod, W.w(m))
-            total = _add2(total, _scale2(prod, sgn))
-    return total
+    From (1+W) inv = 1: inv[0] = 1 and inv[k] = -sum_{j=1..k} W^(j) inv[k-j].
+    """
+    inv = [(DiffPoly.const(1), _Z, _Z, DiffPoly.const(1))]
+    for k in range(1, n + 1):
+        prods = [_mul2(W.w(j), inv[k - j]) for j in range(1, k + 1)]
+        inv.append(tuple(-DiffPoly.sum(p[i] for p in prods) for i in range(4)))
+    return inv
 
 
 def _partner_direction(X: LaxMatrix, n: int):
@@ -278,8 +261,9 @@ def generate_partner(X: LaxMatrix, gamma: int, n: int, W: WSeries | None = None)
     Y = LaxMatrix({0: (DiffPoly.const(half_ig), _Z, _Z, DiffPoly.const(-half_ig))},
                   xi=X.xi, level=0)
     ig = Coeff.make(0, Fraction(gamma))
+    inv = _neumann_series(W, n)
     for k in range(1, n + 1):
-        S = _alternating_products(W, k)
+        S = inv[k]
         # i*gamma*sigma_3 * S
         add = (S[0].scale(ig), S[1].scale(ig), -S[2].scale(ig), -S[3].scale(ig))
         Y = Y.shift_lambda(1) + LaxMatrix({0: add}, xi=X.xi)
@@ -299,20 +283,14 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
         raise ValueError("gamma must be +1 or -1")
     if W is None or W.order < K:
         W = solve_W(X, K + 1)
-    # inv[n]: mu^-n coefficient of the Neumann series (1+W(mu))^{-1}
-    ident = (DiffPoly.const(1), _Z, _Z, DiffPoly.const(1))
-    inv = {0: ident}
-    for n in range(1, K + 1):
-        inv[n] = _alternating_products(W, n)
+    inv = _neumann_series(W, K)
+    ident = inv[0]
     sig = (DiffPoly.const(1), _Z, _Z, DiffPoly.const(-1))
     # G[n]: mu^-n coefficient of (1+W) sigma_3 (1+W)^{-1}
     G = {}
     for n in range(K + 1):
-        acc = _zeros2()
-        for a in range(n + 1):
-            left = ident if a == 0 else W.w(a)
-            acc = _add2(acc, _mul2(_mul2(left, sig), inv[n - a]))
-        G[n] = acc
+        prods = [_mul2(_mul2(ident if a == 0 else W.w(a), sig), inv[n - a]) for a in range(n + 1)]
+        G[n] = tuple(DiffPoly.sum(p[i] for p in prods) for i in range(4))
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in
     # gamma*kappa/(2i) * (1+W) sigma_3 (1+W)^-1 / (lambda-mu) = kappa*sum Y^(m-1)/mu^m
     # gives Y^(m-1) = (i gamma/2) * sum_{k+n=m-1} lambda^k G[n].

@@ -5,13 +5,19 @@ together with an x-derivative order and t_n-derivative orders), with
 coefficients that are Gaussian rationals times integer powers of sqrt(kappa).
 Everything is exact; no floating point enters this module.  Values are
 immutable after construction, so they can be shared freely.
+
+Jet variables are interned: constructing a jet equal to an existing one
+returns that same object, so jet equality and hashing are object identity.
+The Euler operators sum over the prolongations actually present in their
+input, so their loops are bounded by the input's jets and cut nothing off.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable, Mapping
 
 # ---------------------------------------------------------------------------
@@ -162,32 +168,55 @@ _FIELD_RANK = {"psi": 0, "psibar": 1}
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True, order=False)
 class JetVar:
     """A jet variable: derivative of a field, treated as a coordinate.
 
     ``dt`` maps hierarchy level n to the t_n-derivative order and is stored as
     a sorted tuple of (level, order) pairs with no zero orders.
+
+    Jets are interned: constructing a jet equal to an existing one returns
+    that same object, so ``==`` and ``hash`` are object identity.  Jets are
+    ordered by :meth:`sort_key`; ``<`` between jets is not defined.
     """
 
-    field: str
-    dx: int = 0
-    dt: tuple[tuple[int, int], ...] = ()
+    __slots__ = ("field", "dx", "dt", "_key")
 
-    def __post_init__(self):
-        if self.dx < 0:
+    def __new__(cls, field: str, dx: int = 0, dt: tuple[tuple[int, int], ...] = ()):
+        try:
+            return _JET_POOL[field, dx, dt]
+        except (KeyError, TypeError):
+            pass
+        if dx < 0:
             raise ValueError("negative x-derivative order")
-        for lvl, ordr in self.dt:
+        dt = tuple(sorted(tuple(p) for p in dt))
+        for lvl, ordr in dt:
             if lvl < 0 or ordr <= 0:
                 raise ValueError(f"bad t-order entry {(lvl, ordr)}")
-        object.__setattr__(self, "dt", tuple(sorted(self.dt)))
+        self = _JET_POOL.get((field, dx, dt))
+        if self is None:
+            self = object.__new__(cls)
+            key = (_FIELD_RANK.get(field, 2), field, dx, dt)
+            for name, value in zip(cls.__slots__, (field, dx, dt, key)):
+                object.__setattr__(self, name, value)
+            _JET_POOL[field, dx, dt] = self
+        return self
+
+    # identity, at C level: equal jets are the same object
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return (JetVar, (self.field, self.dx, self.dt))
 
     # -- basic structure ---------------------------------------------------
     def sort_key(self):
-        return (_FIELD_RANK.get(self.field, 2), self.field, self.dx, self.dt)
-
-    def __lt__(self, other: "JetVar") -> bool:
-        return self.sort_key() < other.sort_key()
+        return self._key
 
     def prolong_x(self) -> "JetVar":
         return JetVar(self.field, self.dx + 1, self.dt)
@@ -196,6 +225,27 @@ class JetVar:
         d = dict(self.dt)
         d[n] = d.get(n, 0) + 1
         return JetVar(self.field, self.dx, tuple(sorted(d.items())))
+
+    def prolong_along(self, w, k: int = 1) -> "JetVar":
+        """This jet prolonged k times along 'x' or ('t', n)."""
+        v = self
+        for _ in range(k):
+            v = v.prolong_x() if w == "x" else v.prolong_t(w[1])
+        return v
+
+    def prolongation_depth(self, base: "JetVar", w) -> int | None:
+        """The k with self == base.prolong_along(w, k), or None if there is none."""
+        if self.field != base.field:
+            return None
+        if w == "x":
+            if self.dt == base.dt and self.dx >= base.dx:
+                return self.dx - base.dx
+            return None
+        if self.dx != base.dx:
+            return None
+        mine, theirs = dict(self.dt), dict(base.dt)
+        k = mine.pop(w[1], 0) - theirs.pop(w[1], 0)
+        return k if k >= 0 and mine == theirs else None
 
     def conjugate_var(self) -> "JetVar":
         try:
@@ -211,6 +261,11 @@ class JetVar:
         base = {"psi": "psi", "psibar": "psibar"}.get(self.field, self.field)
         sub = "x" * self.dx + "".join(f"t{n}" * k for n, k in self.dt)
         return f"{base}_{sub}" if sub else base
+
+
+# (field, dx, dt) -> the one JetVar with that value
+_JET_POOL: dict[tuple, JetVar] = {}
+_jet_key = attrgetter("_key")
 
 
 PSI = JetVar("psi")
@@ -231,8 +286,9 @@ Monomial = tuple  # sorted tuple of JetVar, with repetition
 class DiffPoly:
     """Polynomial in jet variables with Coeff coefficients, in canonical form.
 
-    Monomials are multisets of jets stored as sorted tuples; zero coefficients
-    are purged, so equality is plain dictionary comparison.
+    Monomials are multisets of jets stored as tuples sorted by
+    ``JetVar.sort_key``; zero coefficients are purged, so equality is plain
+    dictionary comparison.
     """
 
     __slots__ = ("terms", "_hash")
@@ -245,6 +301,14 @@ class DiffPoly:
                     clean[mono] = c
         object.__setattr__(self, "terms", clean)
         object.__setattr__(self, "_hash", None)
+
+    @staticmethod
+    def _of(terms: dict) -> "DiffPoly":
+        """Wrap a dict that holds no zero coefficient (no copy, no checks)."""
+        p = object.__new__(DiffPoly)
+        object.__setattr__(p, "terms", terms)
+        object.__setattr__(p, "_hash", None)
+        return p
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -267,7 +331,15 @@ class DiffPoly:
     def monomial(vars_: Iterable[JetVar], c: Coeff | int | Fraction = 1) -> "DiffPoly":
         if isinstance(c, (int, Fraction)):
             c = Coeff.make(c)
-        return DiffPoly({tuple(sorted(vars_)): c})
+        return DiffPoly({tuple(sorted(vars_, key=_jet_key)): c})
+
+    @staticmethod
+    def sum(polys: Iterable["DiffPoly"]) -> "DiffPoly":
+        """Sum of many polynomials, accumulated in one dict."""
+        acc: dict[Monomial, Coeff] = {}
+        for p in polys:
+            _accumulate(acc, p.terms)
+        return DiffPoly(acc)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:
@@ -286,16 +358,16 @@ class DiffPoly:
 
     # -- ring operations ---------------------------------------------------
     def __add__(self, other: "DiffPoly") -> "DiffPoly":
+        if not other.terms:
+            return self
+        if not self.terms:
+            return other
         acc = dict(self.terms)
-        for mono, c in other.terms.items():
-            if mono in acc:
-                acc[mono] = acc[mono] + c
-            else:
-                acc[mono] = c
+        _accumulate(acc, other.terms)
         return DiffPoly(acc)
 
     def __neg__(self) -> "DiffPoly":
-        return DiffPoly({m: -c for m, c in self.terms.items()})
+        return DiffPoly._of({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "DiffPoly") -> "DiffPoly":
         return self + (-other)
@@ -306,7 +378,7 @@ class DiffPoly:
         acc: dict[Monomial, Coeff] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
-                mono = tuple(sorted(m1 + m2))
+                mono = tuple(sorted(m1 + m2, key=_jet_key)) if m1 and m2 else m1 + m2
                 c = c1 * c2
                 if mono in acc:
                     acc[mono] = acc[mono] + c
@@ -324,40 +396,47 @@ class DiffPoly:
     # -- calculus ----------------------------------------------------------
     def diff(self, v: JetVar) -> "DiffPoly":
         """Formal partial derivative with respect to one jet variable."""
-        acc: dict[Monomial, Coeff] = {}
+        # distinct monomials stay distinct once one v is removed, and a
+        # nonzero coefficient times a positive multiplicity is nonzero
+        out: dict[Monomial, Coeff] = {}
         for mono, c in self.terms.items():
-            mult = mono.count(v)
-            if not mult:
+            if v not in mono:
                 continue
-            rest = list(mono)
-            rest.remove(v)
-            key = tuple(rest)
-            cc = c * Coeff.make(mult)
-            acc[key] = acc.get(key, Coeff.zero()) + cc
-        return DiffPoly(acc)
+            i = mono.index(v)
+            mult = mono.count(v)
+            out[mono[:i] + mono[i + 1:]] = c if mult == 1 else c * Coeff.make(mult)
+        return DiffPoly._of(out)
 
     def _total_derivative(self, prolong) -> "DiffPoly":
-        out = DiffPoly()
+        acc: dict[Monomial, Coeff] = {}
         for mono, c in self.terms.items():
-            for idx in range(len(mono)):
+            for idx, v in enumerate(mono):
                 lifted = list(mono)
-                lifted[idx] = prolong(mono[idx])
-                out = out + DiffPoly({tuple(sorted(lifted)): c})
-        return out
+                lifted[idx] = prolong(v)
+                key = tuple(sorted(lifted, key=_jet_key))
+                if key in acc:
+                    acc[key] = acc[key] + c
+                else:
+                    acc[key] = c
+        return DiffPoly(acc)
 
     def d_x(self) -> "DiffPoly":
         """Total x-derivative (Leibniz over all jets)."""
-        return self._total_derivative(lambda v: v.prolong_x())
+        return self._total_derivative(JetVar.prolong_x)
 
     def d_t(self, n: int) -> "DiffPoly":
         """Total t_n-derivative."""
         return self._total_derivative(lambda v: v.prolong_t(n))
 
+    def d_along(self, w) -> "DiffPoly":
+        """Total derivative along 'x' or ('t', n)."""
+        return self.d_x() if w == "x" else self.d_t(w[1])
+
     def conjugate(self) -> "DiffPoly":
         """Swap psi <-> psibar jets and conjugate all coefficients."""
         acc: dict[Monomial, Coeff] = {}
         for mono, c in self.terms.items():
-            key = tuple(sorted(v.conjugate_var() for v in mono))
+            key = tuple(sorted((v.conjugate_var() for v in mono), key=_jet_key))
             acc[key] = acc.get(key, Coeff.zero()) + c.conjugate()
         return DiffPoly(acc)
 
@@ -392,9 +471,9 @@ class DiffPoly:
         return dims.pop()
 
     def coefficient(self, mono: Iterable[JetVar]) -> Coeff:
-        return self.terms.get(tuple(sorted(mono)), Coeff.zero())
+        return self.terms.get(tuple(sorted(mono, key=_jet_key)), Coeff.zero())
 
-    # -- Euler operator ----------------------------------------------------
+    # -- Euler operators ---------------------------------------------------
     def euler(self, field: str) -> "DiffPoly":
         """Variational derivative in the x-direction for the given field.
 
@@ -405,13 +484,24 @@ class DiffPoly:
         for v in self.jets():
             if v.dt:
                 raise ValueError("euler operator requires x-jets only")
-        out = DiffPoly()
-        for k in range(self.max_x_order() + 1):
-            term = self.diff(JetVar(field, k))
+        return self.euler_along(JetVar(field), "x")
+
+    def euler_along(self, base: JetVar, w) -> "DiffPoly":
+        """sum_k (-d_w)^k d/d(base prolonged k times along w).
+
+        The sum runs over the prolongations of ``base`` present in the
+        polynomial, so no order is ever cut off.
+        """
+        terms = []
+        for v in self.jets():
+            k = v.prolongation_depth(base, w)
+            if k is None:
+                continue
+            term = self.diff(v)
             for _ in range(k):
-                term = -term.d_x()
-            out = out + term
-        return out
+                term = -term.d_along(w)
+            terms.append(term)
+        return DiffPoly.sum(terms)
 
     # -- substitution ------------------------------------------------------
     def substitute(self, rules: Mapping[JetVar, "DiffPoly"], max_passes: int = 64) -> "DiffPoly":
@@ -439,13 +529,15 @@ class DiffPoly:
         raise ValueError("cyclic rule set: substitution did not terminate")
 
     def _replace_jets(self, mapping: Mapping[JetVar, "DiffPoly"]) -> "DiffPoly":
-        out = DiffPoly()
+        acc: dict[Monomial, Coeff] = {}
         for mono, c in self.terms.items():
-            piece = DiffPoly.const(c)
+            # the jets that stay form a sorted sub-monomial
+            piece = DiffPoly._of({tuple(v for v in mono if v not in mapping): c})
             for v in mono:
-                piece = piece * mapping.get(v, DiffPoly.var(v))
-            out = out + piece
-        return out
+                if v in mapping:
+                    piece = piece * mapping[v]
+            _accumulate(acc, piece.terms)
+        return DiffPoly(acc)
 
     # -- numerics ----------------------------------------------------------
     def evaluate(self, values: Mapping[JetVar, complex], kappa: float):
@@ -482,7 +574,7 @@ class DiffPoly:
 
     @staticmethod
     def from_json_obj(items: list) -> "DiffPoly":
-        out = DiffPoly()
+        acc: dict[Monomial, Coeff] = {}
         for it in items:
             c = it["coeff"]
             coeff = Coeff({int(c["sqrtkappa_pow"]): (
@@ -490,11 +582,12 @@ class DiffPoly:
                 Fraction(c["im"][0], c["im"][1]),
             )})
             mono = tuple(sorted(
-                JetVar(j["field"], int(j["dx"]), tuple((int(n), int(k)) for n, k in j["dt"]))
-                for j in it["jets"]
+                (JetVar(j["field"], int(j["dx"]), tuple((int(n), int(k)) for n, k in j["dt"]))
+                 for j in it["jets"]),
+                key=_jet_key,
             ))
-            out = out + DiffPoly({mono: coeff})
-        return out
+            _accumulate(acc, {mono: coeff})
+        return DiffPoly(acc)
 
     @staticmethod
     def from_json(text: str) -> "DiffPoly":
@@ -515,7 +608,20 @@ class DiffPoly:
 
 
 def _mono_key(mono: Monomial):
-    return (len(mono), tuple(v.sort_key() for v in mono))
+    return (len(mono), tuple(v._key for v in mono))
+
+
+def _accumulate(acc: dict, terms: Mapping[Monomial, Coeff]) -> None:
+    """Add a polynomial's terms into an accumulator dict, in place.
+
+    Summing many polynomials this way is linear in their terms, where a
+    chain of ``+`` copies the running total at every step.
+    """
+    for mono, c in terms.items():
+        if mono in acc:
+            acc[mono] = acc[mono] + c
+        else:
+            acc[mono] = c
 
 
 def _best_rule_key(v: JetVar, rules: Mapping[JetVar, DiffPoly]):

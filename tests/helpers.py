@@ -146,3 +146,45 @@ def printed_dual(m: int):
                                  1: level0,
                                  0: (-Phi, -Om.conjugate(), -Om, Phi)})
     raise ValueError(m)
+
+
+# --- slow reference paths, kept to check the fast ones against -------------
+
+def compositions(n: int, j: int):
+    """Ordered compositions m_1 + ... + m_j = n with every m_i >= 1."""
+    if j == 1:
+        yield (n,)
+        return
+    for first in range(1, n - j + 2):
+        for rest in compositions(n - first, j - 1):
+            yield (first,) + rest
+
+
+def alternating_products(W, n: int):
+    """sum_{j=1}^n (-1)^j sum over ordered compositions m_1+..+m_j = n of
+    W^(m_1) ... W^(m_j); this is the 1/mu^n coefficient of (1+W)^-1 - 1."""
+    from nlsdual.laxalg import _add2, _mul2, _scale2, _zeros2
+    total = _zeros2()
+    for j in range(1, n + 1):
+        sgn = (-1) ** j
+        for comp in compositions(n, j):
+            prod = None
+            for m in comp:
+                prod = W.w(m) if prod is None else _mul2(prod, W.w(m))
+            total = _add2(total, _scale2(prod, sgn))
+    return total
+
+
+def leibniz_bracket_per_entry(f: DiffPoly, g: DiffPoly, table) -> DiffPoly:
+    """The Leibniz bracket summed entry by entry, differentiating f and g
+    afresh for every table entry."""
+    out = DiffPoly.zero()
+    for (a, b), t in table.entries.items():
+        fa = f.diff(a)
+        if fa.is_zero():
+            continue
+        gb = g.diff(b)
+        if gb.is_zero():
+            continue
+        out = out + fa * gb * t
+    return out

@@ -3,19 +3,22 @@ identities (with an independent sympy cross-check), normal forms."""
 
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings, strategies as st
 
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
 from nlsdual.laxalg import LaxMatrix
 from nlsdual import brackets as B
 from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_normal_form,
-                              dirac_pipeline, full_euler, hamilton_check, integral_bracket,
-                              jacobi_defect, kinetic_term, leibniz_bracket, matrix_bracket,
-                              ostrogradski_reduce, verify_rmatrix)
+                              dirac_pipeline, full_euler, hamilton_check, hamiltonian_flows,
+                              integral_bracket, jacobi_defect, kinetic_term, leibniz_bracket,
+                              matrix_bracket, ostrogradski_reduce, verify_rmatrix)
 from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, generate_partner
-from helpers import pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density, x_block
+from helpers import (pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density, x_block,
+                     leibniz_bracket_per_entry)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -32,6 +35,13 @@ def table_S():
 
 def table_T(n):
     return dirac_pipeline(build_level_lagrangian(n), "space").table
+
+
+_table_T_once = lru_cache(maxsize=None)(table_T)
+
+
+def _S_by_hand():
+    return BracketTable([pj(), qj()], {(pj(), qj()): DiffPoly.const(I)}, label="S")
 
 
 # --- leibniz bracket ------------------------------------------------------------
@@ -52,6 +62,18 @@ def test_bracket_rejects_undeclared_jets():
     S = table_S()
     with pytest.raises(ValueError):
         leibniz_bracket(v(pj(1)), v(qj()), S)
+
+
+@pytest.mark.parametrize("level", [3, 4])
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_bracket_matches_per_entry_reference(level, seed):
+    table = _table_T_once(level)
+    rng = random.Random(seed)
+    coords = list(table.coords)
+    f = random_poly(rng, coords, n_terms=3, max_deg=3)
+    g = random_poly(rng, coords, n_terms=3, max_deg=3)
+    assert leibniz_bracket(f, g, table) == leibniz_bracket_per_entry(f, g, table)
 
 
 def test_bracket_is_derivation():
@@ -287,6 +309,13 @@ def test_reduction_level3_euler_lagrange_reproduced():
     assert el.substitute(rules).is_zero()
 
 
+def test_full_euler_has_no_order_limit():
+    assert full_euler(mono([qj(), pj(11)]), "psi", 2) == -v(qj(11))
+    assert full_euler(mono([qj(), pj(0, [(2, 3)])]), "psi", 2) == -v(qj(0, [(2, 3)]))
+    with pytest.raises(ValueError):
+        full_euler(mono([qj(), pj(0, [(3, 1)])]), "psi", 2)
+
+
 def test_reduction_level4_euler_lagrange_reproduced():
     L4 = build_level_lagrangian(4)
     red = ostrogradski_reduce(L4)
@@ -433,6 +462,23 @@ def test_hamilton_check_level4_space():
     res = dirac_pipeline(build_level_lagrangian(4), "space")
     rep = hamilton_check(res, evolution_rules(4))
     assert rep["status"] == "pass"
+
+
+def test_hamiltonian_flows_have_no_order_limit():
+    # the psi-variation of psibar psi_13x is -psibar_13x
+    flows = hamiltonian_flows(mono([qj(), pj(13)]), _S_by_hand(), "x")
+    assert flows[qj()] == v(qj(13), -I)
+
+
+def test_integral_bracket_has_no_order_limit():
+    S = _S_by_hand()
+    h = mono([qj(), pj()])
+    flow = integral_bracket(h, v(pj()), S, "x")
+    assert flow == v(pj(), -I)
+    want = flow
+    for _ in range(12):
+        want = want.d_x()
+    assert integral_bracket(h, v(pj(12)), S, "x") == want
 
 
 def test_hamilton_check_detects_wrong_rules():

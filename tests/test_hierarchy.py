@@ -8,12 +8,12 @@ import sympy as sp
 
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
 from nlsdual.laxalg import LaxMatrix, lax_from_entries
-from nlsdual.hierarchy import (build_u, conserved_density, density_ladder, dual_hierarchy,
-                               evolution_rules, generate_partner, generating_function_expand,
-                               on_shell, riccati_residual, solve_W, solve_evolution,
-                               zero_curvature_residual, WSeries)
+from nlsdual.hierarchy import (_neumann_series, build_u, conserved_density, density_ladder,
+                               dual_hierarchy, evolution_rules, generate_partner,
+                               generating_function_expand, on_shell, riccati_residual, solve_W,
+                               solve_evolution, zero_curvature_residual, WSeries)
 from helpers import (pj, qj, v, mono, cf, x_block, y_block, nls_hamiltonian_density,
-                     printed_v, printed_dual, _sigma3_const)
+                     printed_v, printed_dual, _sigma3_const, alternating_products)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -133,6 +133,19 @@ def test_two_routes_agree():
     gen = generating_function_expand(U, 1, 6, W)
     for n in range(6):
         assert (gen[n] - generate_partner(U, 1, n, W)).is_zero(), n
+
+
+# V2 is the base of the dual hierarchy; the dual member D7 has degree 7, so
+# its W-series to order 7 never differentiates along its eta direction
+@pytest.mark.parametrize("X", [U, generate_partner(U, 1, 2), dual_hierarchy(2, 7)],
+                         ids=["U", "V2", "D7"])
+def test_neumann_series_matches_composition_sum(X):
+    W = solve_W(X, 7)
+    inv = _neumann_series(W, 7)
+    one = DiffPoly.const(1)
+    assert inv[0] == (one, Z, Z, one)
+    for n in range(1, 8):
+        assert inv[n] == alternating_products(W, n), n
 
 
 def test_generating_function_order_zero_and_gamma_flip():

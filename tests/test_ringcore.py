@@ -1,6 +1,8 @@
 """Exactness, calculus and canonical-form properties of the polynomial ring."""
 
+import copy
 import json
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsdual.ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA,
-                              euler_operator, is_total_x_derivative, substitute)
+                              euler_operator, is_total_x_derivative, jet, substitute)
 from helpers import pj, qj, v, mono, cf, random_poly, random_x_poly, x_block, y_block, nls_hamiltonian_density
 
 
@@ -197,3 +199,70 @@ def test_canonical_equality():
     b = mono([pj(), qj(1)], 2)
     assert a == b
     assert hash(a) == hash(b)
+
+
+# --- interned jets -------------------------------------------------------------
+
+def test_equal_jets_are_one_object():
+    assert JetVar("psi", 2, ((2, 1),)) is JetVar("psi", 2, ((2, 1),))
+    assert JetVar("psi", 0, ((3, 1), (2, 2))) is JetVar("psi", 0, ((2, 2), (3, 1)))
+    assert jet("psi", 1, [(2, 1)]) is pj(1, [(2, 1)])
+    assert PSI.prolong_x().prolong_t(2) is PSI.prolong_t(2).prolong_x()
+    assert PSIBAR.conjugate_var() is PSI
+    assert JetVar("psi", 1) is not JetVar("psibar", 1)
+    assert JetVar("psi", 1) != JetVar("psi", 2)
+
+
+def test_jets_are_frozen():
+    v_ = pj(1)
+    with pytest.raises(AttributeError):
+        v_.dx = 3
+    with pytest.raises(AttributeError):
+        del v_.field
+    assert v_.dx == 1 and v_ is pj(1)
+
+
+def test_bad_jets_raise_on_every_attempt():
+    for _ in range(3):
+        with pytest.raises(ValueError):
+            JetVar("psi", -1)
+        with pytest.raises(ValueError):
+            JetVar("psi", 0, ((2, 0),))
+        with pytest.raises(ValueError):
+            JetVar("psi", 0, ((-1, 1),))
+
+
+def test_jet_copies_and_pickles_are_the_interned_jet():
+    v_ = pj(3, [(2, 1)])
+    assert copy.copy(v_) is v_
+    assert copy.deepcopy(v_) is v_
+    assert pickle.loads(pickle.dumps(v_)) is v_
+    a = x_block() + y_block()
+    for b in (copy.deepcopy(a), pickle.loads(pickle.dumps(a))):
+        assert b == a and hash(b) == hash(a)
+        assert all(u is w for m1, m2 in zip(sorted(a.terms, key=repr), sorted(b.terms, key=repr))
+                   for u, w in zip(m1, m2))
+
+
+def test_jet_order_is_the_sort_key():
+    jets = [qj(1), pj(0, [(2, 1)]), pj(2), qj(), pj()]
+    ordered = sorted(jets, key=JetVar.sort_key)
+    assert ordered == [pj(), pj(0, [(2, 1)]), pj(2), qj(), qj(1)]
+    assert mono(jets) == mono(ordered)
+    assert tuple(mono(jets).terms) == (tuple(ordered),)
+
+
+def test_traced_methods_stay_wrappable():
+    # the benchmark's tracer replaces these class attributes at run time
+    assert "__eq__" in JetVar.__dict__
+    assert DiffPoly.__rmul__ is DiffPoly.__mul__
+
+
+# --- Euler operators bounded by the input ---------------------------------------
+
+def test_euler_along_has_no_order_limit():
+    h = mono([qj(), pj(13)])
+    assert h.euler("psi") == -v(qj(13))
+    assert h.euler_along(PSI, "x") == h.euler("psi")
+    t = mono([qj(), pj(0, [(2, 14)])])
+    assert t.euler_along(PSI, ("t", 2)) == v(qj(0, [(2, 14)]))
