@@ -330,14 +330,6 @@ class Reduction:
     coord_fields: tuple[str, ...]   # phi's, chain fields, multipliers (in order)
     chain_len: int
 
-    def chain_jet_of_psi(self, dx: int, j: int, dt=()) -> JetVar:
-        """Phase-space symbol representing the dx-th x-jet of field j."""
-        if dx < self.chain_len:
-            return JetVar(_chain_field(dx, j), 0, dt)
-        if dx == self.chain_len:
-            return JetVar(_chain_field(self.chain_len - 1, j), 1, dt)
-        raise ValueError("jet beyond the reduced order")
-
     def multipliers_from_euler_lagrange(self) -> dict[JetVar, DiffPoly]:
         """Solve the chain-field variational equations for the multipliers."""
         out = {}
@@ -381,21 +373,22 @@ class Reduction:
 def full_euler(L: DiffPoly, fld: str, level: int) -> DiffPoly:
     """Variational derivative over both x and t_level derivatives.
 
-    Sums over the jets of ``fld`` present in L, so no order is cut off; a
-    jet of ``fld`` that is not an x/t_level-derivative raises.
+    The sum over the x-orders k present in L of (-d_x)^k applied to the
+    t_level Euler operator at the k-th x-jet of ``fld``, so no order is cut
+    off; a jet of ``fld`` that is not an x/t_level-derivative raises.
     """
-    terms = []
+    w = ("t", level)
+    orders = set()
     for v in L.jets():
-        if v.field != fld:
-            continue
-        l = v.prolongation_depth(JetVar(fld, v.dx), ("t", level))
-        if l is None:
-            raise ValueError(f"jet {v} is not an x/t_{level} derivative of {fld}")
-        term = L.diff(v)
-        for _ in range(v.dx):
+        if v.field == fld:
+            if v.prolongation_depth(JetVar(fld, v.dx), w) is None:
+                raise ValueError(f"jet {v} is not an x/t_{level} derivative of {fld}")
+            orders.add(v.dx)
+    terms = []
+    for k in orders:
+        term = L.euler_along(JetVar(fld, k), w)
+        for _ in range(k):
             term = -term.d_x()
-        for _ in range(l):
-            term = -term.d_t(level)
         terms.append(term)
     return DiffPoly.sum(terms)
 
@@ -467,9 +460,6 @@ class LegendreResult:
     hamiltonian_density: DiffPoly         # in psi/psibar jets
     table: BracketTable                   # in psi/psibar jets
     constraints: ConstraintSystem | None
-    reduced_hamiltonian: DiffPoly         # in phase-space coordinates
-    reduced_table: BracketTable           # Dirac table on the reduced coordinates
-    jet_map: dict[JetVar, DiffPoly]       # psi-jets -> reduced-coordinate expressions
 
 
 def _momentum_of(c: JetVar) -> JetVar:
@@ -481,7 +471,6 @@ def _solve_linear_coeff_system(A: list[list[Coeff]], rhs: list[DiffPoly]) -> lis
     n = len(A)
     M = [row[:] for row in A]
     b = rhs[:]
-    perm = list(range(n))
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -514,6 +503,193 @@ def _invert_coeff_matrix(A: list[list[Coeff]]) -> list[list[Coeff]]:
     return out
 
 
+def _constraint_rank(fieldname: str) -> int:
+    """Paper order of the constraints: base fields, then the chain fields from
+    the highest link down, then the multipliers."""
+    if fieldname.startswith("m"):
+        return 2
+    if fieldname.startswith("c"):
+        return -int(fieldname[1:].split("_")[0])
+    return 0
+
+
+def _legendre(Lwork: DiffPoly, coords: list[JetVar], xi):
+    """Stage 1: momenta, canonical Hamiltonian and primary constraints.
+
+    The momentum relations p_i = dL/d(velocity_i) that contain velocities
+    are solved for them; the others are the primary constraints, and each
+    unsolved velocity must appear in the Hamiltonian multiplied by its own
+    constraint, which is then dropped.  Returns the momenta, the canonical
+    Hamiltonian, and the constraints with their names in paper order.
+    """
+    momenta = [_momentum_of(c) for c in coords]
+    velocities = [c.prolong_along(xi) for c in coords]
+    pi_exprs = [Lwork.diff(v) for v in velocities]
+    vel_set = set(velocities)
+    constrained = [i for i, e in enumerate(pi_exprs) if not (e.jets() & vel_set)]
+    solvable = [i for i in range(len(coords)) if i not in constrained]
+
+    # the regular block is linear with constant coefficients in its velocities
+    A, bvec = [], []
+    for i in solvable:
+        row = [pi_exprs[i].diff(velocities[j]).constant_value() for j in solvable]
+        if None in row:
+            raise ValueError("momentum relation is not linear with constant coefficients")
+        rest = pi_exprs[i] - DiffPoly.sum(DiffPoly.var(velocities[j], c) for j, c in zip(solvable, row))
+        A.append(row)
+        bvec.append(DiffPoly.var(momenta[i]) - rest)
+    sol_vel = dict(zip((velocities[i] for i in solvable), _solve_linear_coeff_system(A, bvec)))
+
+    Hc = DiffPoly.sum(DiffPoly.var(p) * DiffPoly.var(v) for p, v in zip(momenta, velocities))
+    Hc = (Hc - Lwork)._replace_jets(sol_vel)
+    keyed = []
+    for i in constrained:
+        C = DiffPoly.var(momenta[i]) - pi_exprs[i]
+        if Hc.diff(velocities[i]) != C:
+            raise AssertionError("unsolved velocity does not factor through its constraint")
+        Hc = Hc - DiffPoly.var(velocities[i]) * C
+        keyed.append((_constraint_rank(coords[i].field), i, C))
+    if Hc.jets() & vel_set:
+        raise AssertionError("velocities survive the Legendre transform")
+    keyed.sort(key=lambda t: t[:2])
+    return (momenta, Hc, [C for _, _, C in keyed],
+            [f"C[{coords[i].field}]" for _, i, _ in keyed])
+
+
+def _constraint_matrix(constraints: list[DiffPoly], canonical: BracketTable):
+    """Stage 2: M[a][b] = {C_a, C_b}, which must be constant, and its inverse."""
+    M = []
+    for Ca in constraints:
+        row = [leibniz_bracket(Ca, Cb, canonical).constant_value() for Cb in constraints]
+        if None in row:
+            raise ValueError("field-dependent constraint matrix is not supported")
+        M.append(row)
+    return M, _invert_coeff_matrix(M)
+
+
+def _elim_priority(v: JetVar) -> int:
+    """Multiplier momenta first, then multipliers, then momenta, then the rest."""
+    if v.field.startswith("P_m"):
+        return 0
+    if v.field.startswith("m"):
+        return 1
+    if v.field.startswith("P_"):
+        return 2
+    return 3
+
+
+def _elimination_map(constraints: list[DiffPoly]) -> dict[JetVar, DiffPoly]:
+    """Stage 3: one phase coordinate solved from each constraint, closed under
+    substitution so that no right-hand side holds an eliminated coordinate."""
+    elim: dict[JetVar, DiffPoly] = {}
+    for C in constraints:
+        cands = sorted((v for v in C.jets() if v not in elim), key=lambda v: (_elim_priority(v), v.sort_key()))
+        for v in cands:
+            c0 = C.diff(v).constant_value()
+            if c0 and c0.is_single_term():
+                break
+        else:
+            raise ValueError("cannot solve a constraint for any variable")
+        elim[v] = (DiffPoly.var(v, c0) - C).scale(c0.inverse())
+    for _ in range(len(elim) + 1):
+        changed = False
+        for v, e in list(elim.items()):
+            e2 = e._replace_jets(elim)
+            if e2 != e:
+                elim[v] = e2
+                changed = True
+        if not changed:
+            return elim
+    raise ValueError("elimination map does not close (cyclic eliminations)")
+
+
+def _dirac_tables(phase: list[JetVar], constraints: list[DiffPoly], canonical: BracketTable,
+                  Minv, elim: Mapping[JetVar, DiffPoly], label: str):
+    """Stage 4: the Dirac table on the full phase space and on the reduced one.
+
+    {v, u}_D = {v, u} - sum_ab {v, C_a} Minv[a][b] {C_b, u}.  Each
+    K[v][a] = {v, C_a} is computed once, and {C_b, u} = -K[u][b].  The
+    reduced table takes the full table's entries for the pairs of coordinates
+    that are not eliminated and substitutes the eliminations into them.
+    """
+    K = {v: [leibniz_bracket(DiffPoly.var(v), C, canonical) for C in constraints] for v in phase}
+    minv = [(a, b, c) for a, row in enumerate(Minv) for b, c in enumerate(row) if c]
+    full = {}
+    for i, v in enumerate(phase):
+        for u in phase[i + 1:]:
+            Kv, Ku = K[v], K[u]
+            full[(v, u)] = DiffPoly.sum(
+                [canonical.entry(v, u)]
+                + [(Kv[a] * Ku[b]).scale(c) for a, b, c in minv if Kv[a] and Ku[b]])
+    dirac_full = BracketTable(phase, full, label="dirac-full")
+    reduced = [v for v in phase if v not in elim]
+    red = {(v, u): dirac_full.entry(v, u)._replace_jets(elim)
+           for i, v in enumerate(reduced) for u in reduced[i + 1:]}
+    return dirac_full, BracketTable(reduced, red, label=f"dirac-reduced-{label}")
+
+
+def _multipliers(Hred: DiffPoly, constraints: list[DiffPoly], canonical: BracketTable, w,
+                 elim: Mapping[JetVar, DiffPoly], Minv) -> list[DiffPoly]:
+    """Stage 5: the alpha_k fixed by {H*, C_j} + sum_k alpha_k {C_k, C_j} = 0,
+    that is alpha = -(M^-1)^T {H*, C}."""
+    hc = [integral_bracket(Hred, C, canonical, w)._replace_jets(elim) for C in constraints]
+    m = len(constraints)
+    return [-DiffPoly.sum(hc[j].scale(Minv[j][k]) for j in range(m) if Minv[j][k])
+            for k in range(m)]
+
+
+def _invert_jet_map(jet_map: Mapping[JetVar, DiffPoly], jets: list[JetVar], coords, w):
+    """The reduced coordinates as polynomials in psi-jets.
+
+    Each jet's expression adds one new reduced coordinate, linearly with a
+    constant coefficient, to those of the lower jets; solving in jet order
+    inverts the map.
+    """
+    inverse: dict[JetVar, DiffPoly] = {}
+    pending = list(jets)
+    for _ in range(len(pending) + 2):
+        progress = False
+        for target in list(pending):
+            e = jet_map[target]
+            unknown = [v for v in e.jets() if _strip_prolongation(v, list(inverse), w) is None]
+            if len(unknown) == 1:
+                v = unknown[0]
+                c0 = e.diff(v).constant_value()
+                if c0 and c0.is_single_term():
+                    rest = (e - DiffPoly.var(v, c0)).substitute(inverse)
+                    inverse[v] = (DiffPoly.var(target) - rest).scale(c0.inverse())
+                    unknown = []
+            if not unknown:
+                pending.remove(target)
+                progress = True
+        if not progress:
+            break
+    missing = [c for c in coords if c not in inverse]
+    if missing:
+        raise ValueError(f"could not express phase coordinates in jets: {missing}")
+    return inverse
+
+
+def _space_jet_translation(Hred: DiffPoly, reduced: BracketTable, level: int, w):
+    """Stage 6 (space direction): the table T_level on the jets psi_k, psibar_k
+    (k < level) and the dual Hamiltonian density in those jets.
+
+    The k-th x-jet of a base field is its k-th Dirac-Hamilton x-flow.
+    """
+    jet_map = {}
+    for fld, psi_name in zip(_BASE_FIELDS, ("psi", "psibar")):
+        cur = DiffPoly.var(JetVar(fld, 0))
+        jet_map[JetVar(psi_name, 0)] = cur
+        for k in range(1, level):
+            cur = integral_bracket(Hred, cur, reduced, w)
+            jet_map[JetVar(psi_name, k)] = cur
+    jets = sorted(jet_map, key=lambda v: (v.dx, v.sort_key()))
+    rules = _invert_jet_map(jet_map, jets, reduced.coords, w)
+    entries = {(ja, jb): leibniz_bracket(jet_map[ja], jet_map[jb], reduced).substitute(rules)
+               for a, ja in enumerate(jets) for jb in jets[a + 1:]}
+    return BracketTable(jets, entries, label=f"T{level}"), Hred.substitute(rules)
+
+
 def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     """Full Legendre / Dirac analysis of a hierarchy Lagrangian.
 
@@ -529,265 +705,36 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     if len(levels) != 1:
         raise ValueError("expected exactly one t-level in the Lagrangian")
     level = levels.pop()
-
     if direction == "time":
-        xi = ("t", level)       # evolution variable (velocities)
-        w = "x"                 # the bracket's ultralocal direction
-        coords = [PSI, PSIBAR]
-        Lwork = L
+        xi, w, Lwork, coords = ("t", level), "x", L, [PSI, PSIBAR]
     elif direction == "space":
-        xi = "x"
-        w = ("t", level)
         reduction = ostrogradski_reduce(L)
-        Lwork = reduction.lagrangian
+        xi, w, Lwork = "x", ("t", level), reduction.lagrangian
         coords = [JetVar(f, 0) for f in reduction.coord_fields]
     else:
         raise ValueError("direction must be 'time' or 'space'")
 
-    momenta = [_momentum_of(c) for c in coords]
-    velocities = [c.prolong_along(xi) for c in coords]
-
-    # momentum relations
-    pi_exprs = [Lwork.diff(v) for v in velocities]
-    vel_set = set(velocities)
-    constrained_idx = [i for i, e in enumerate(pi_exprs) if not (e.jets() & vel_set)]
-    solvable_idx = [i for i in range(len(coords)) if i not in constrained_idx]
-
-    # solve the regular block for its velocities
-    sol_vel: dict[JetVar, DiffPoly] = {}
-    if solvable_idx:
-        A = []
-        bvec = []
-        for i in solvable_idx:
-            e = pi_exprs[i]
-            row = []
-            rest = e
-            for j in solvable_idx:
-                cj = e.diff(velocities[j])
-                c0 = cj.coefficient(())
-                if not (cj - DiffPoly.const(c0)).is_zero():
-                    raise ValueError("momentum relation is not linear with constant coefficients")
-                row.append(c0)
-                rest = rest - DiffPoly.var(velocities[j], c0)
-            A.append(row)
-            bvec.append(DiffPoly.var(momenta[i]) - rest)
-        sols = _solve_linear_coeff_system(A, bvec)
-        for j, i in enumerate(solvable_idx):
-            sol_vel[velocities[i]] = sols[j]
-
-    # canonical Hamiltonian: sum pi v - L, solved velocities substituted,
-    # residual velocities must appear multiplied by their own constraint
-    Hc = _Z
-    for i in range(len(coords)):
-        Hc = Hc + DiffPoly.var(momenta[i]) * DiffPoly.var(velocities[i])
-    Hc = (Hc - Lwork)._replace_jets(sol_vel)
-
-    constraints = []
-    names = []
-    order_key = []
-    for i in constrained_idx:
-        C = DiffPoly.var(momenta[i]) - pi_exprs[i]
-        coeff_v = Hc.diff(velocities[i])
-        if not (coeff_v - C).is_zero():
-            raise AssertionError("unsolved velocity does not factor through its constraint")
-        Hc = Hc - DiffPoly.var(velocities[i]) * C
-        constraints.append(C)
-        fieldname = coords[i].field
-        names.append(f"C[{fieldname}]")
-        if fieldname.startswith("m"):
-            kind = 2
-        elif fieldname.startswith("c"):
-            kind = -int(fieldname[1:].split("_")[0])
-        else:
-            kind = 0
-        order_key.append((kind, i))
-    if any(v in Hc.jets() for v in velocities):
-        raise AssertionError("velocities survive the Legendre transform")
-    # multiplier momenta (identically zero relations) also yield constraints Lambda_j = 0
-    # (already covered: their pi_exprs are velocity-free)
-
-    order = sorted(range(len(constraints)), key=lambda idx: order_key[idx])
-    constraints = [constraints[idx] for idx in order]
-    names = [names[idx] for idx in order]
-
-    # canonical table on the full phase space
-    can_entries = {}
-    for c, pm in zip(coords, momenta):
-        can_entries[(pm, c)] = DiffPoly.const(1)
-    phase = list(coords) + list(momenta)
-    canonical = BracketTable(phase, can_entries, label="canonical")
-
-    # constraint matrix
-    m = len(constraints)
-    Mmat = [[_Z for _ in range(m)] for _ in range(m)]
-    for a in range(m):
-        for b in range(m):
-            Mmat[a][b] = leibniz_bracket(constraints[a], constraints[b], canonical)
-    Mc = []
-    for a in range(m):
-        row = []
-        for b in range(m):
-            v = Mmat[a][b]
-            c0 = v.coefficient(())
-            if not (v - DiffPoly.const(c0)).is_zero():
-                raise ValueError("field-dependent constraint matrix is not supported")
-            row.append(c0)
-        Mc.append(row)
-    Minv = _invert_coeff_matrix(Mc)
-
-    # elimination of one variable per constraint (preferring multiplier
-    # momenta, then multipliers, then momenta)
-    def elim_priority(v: JetVar) -> int:
-        if v.field.startswith("P_m"):
-            return 0
-        if v.field.startswith("m"):
-            return 1
-        if v.field.startswith("P_"):
-            return 2
-        return 3
-
-    elim: dict[JetVar, DiffPoly] = {}
-    for C in constraints:
-        cands = sorted((v for v in C.jets() if v not in elim), key=lambda v: (elim_priority(v), v.sort_key()))
-        chosen = None
-        for v in cands:
-            dv = C.diff(v)
-            c0 = dv.coefficient(())
-            if (dv - DiffPoly.const(c0)).is_zero() and not c0.is_zero() and c0.is_single_term():
-                chosen = (v, c0)
-                break
-        if chosen is None:
-            raise ValueError("cannot solve a constraint for any variable")
-        v, c0 = chosen
-        elim[v] = (DiffPoly.var(v, c0) - C).scale(c0.inverse())
-    # close the substitution
-    for _ in range(len(elim) + 1):
-        changed = False
-        for v, e in list(elim.items()):
-            e2 = e._replace_jets({u: elim[u] for u in e.jets() if u in elim})
-            if not (e2 - e).is_zero():
-                elim[v] = e2
-                changed = True
-        if not changed:
-            break
-
-    reduced = [v for v in phase if v not in elim]
-
-    def dirac(f: DiffPoly, g: DiffPoly) -> DiffPoly:
-        out = leibniz_bracket(f, g, canonical)
-        fc = [leibniz_bracket(f, C, canonical) for C in constraints]
-        cg = [leibniz_bracket(C, g, canonical) for C in constraints]
-        for a in range(m):
-            if fc[a].is_zero():
-                continue
-            for b in range(m):
-                if Minv[a][b].is_zero() or cg[b].is_zero():
-                    continue
-                out = out - (fc[a] * cg[b]).scale(Minv[a][b])
-        return out
-
-    full_entries = {}
-    for i1 in range(len(phase)):
-        for i2 in range(i1 + 1, len(phase)):
-            v = dirac(DiffPoly.var(phase[i1]), DiffPoly.var(phase[i2]))
-            if not v.is_zero():
-                full_entries[(phase[i1], phase[i2])] = v
-    dirac_full = BracketTable(phase, full_entries, label="dirac-full")
-
-    red_entries = {}
-    for i1 in range(len(reduced)):
-        for i2 in range(i1 + 1, len(reduced)):
-            v = dirac(DiffPoly.var(reduced[i1]), DiffPoly.var(reduced[i2]))
-            v = v._replace_jets({u: elim[u] for u in v.jets() if u in elim})
-            if not v.is_zero():
-                red_entries[(reduced[i1], reduced[i2])] = v
-    red_table = BracketTable(reduced, red_entries, label=f"dirac-reduced-{direction}")
-
-    Hred = Hc._replace_jets({u: elim[u] for u in Hc.jets() if u in elim})
-
-    # multipliers from the consistency conditions {H*, C_j} = 0
-    rhs = []
-    for C in constraints:
-        v = integral_bracket(Hred, C, canonical, w)
-        v = v._replace_jets({u: elim[u] for u in v.jets() if u in elim})
-        rhs.append(-v)
-    # sum_k alpha_k {C_k, C_j} = -{H, C_j}  (j-th equation)
-    At = [[Mc[k][j] for k in range(m)] for j in range(m)]
-    alphas = _solve_linear_coeff_system(At, rhs)
-
-    constraint_system = ConstraintSystem(
+    momenta, Hc, constraints, names = _legendre(Lwork, coords, xi)
+    phase = coords + momenta
+    canonical = BracketTable(phase, {(p, c): DiffPoly.const(1) for c, p in zip(coords, momenta)},
+                             label="canonical")
+    M, Minv = _constraint_matrix(constraints, canonical)
+    elim = _elimination_map(constraints)
+    dirac_full, reduced = _dirac_tables(phase, constraints, canonical, Minv, elim, direction)
+    Hred = Hc._replace_jets(elim)
+    alphas = _multipliers(Hred, constraints, canonical, w, elim, Minv)
+    cs = ConstraintSystem(
         coords=tuple(coords), momenta=tuple(momenta), lagrangian=Lwork,
         constraints=tuple(constraints), constraint_names=tuple(names),
-        M=tuple(tuple(r) for r in Mc), Minv=tuple(tuple(r) for r in Minv),
+        M=tuple(map(tuple, M)), Minv=tuple(map(tuple, Minv)),
         multipliers=tuple(alphas), second_class=True, dirac_full=dirac_full,
     )
-
-    # translate to psi/psibar jets
     if direction == "time":
-        # reduced coordinates are the fields themselves
-        jet_map = {PSI: DiffPoly.var(PSI), PSIBAR: DiffPoly.var(PSIBAR)}
-        table = BracketTable([PSI, PSIBAR],
-                             {(PSI, PSIBAR): red_table.entry(PSI, PSIBAR)},
-                             label="S")
-        return LegendreResult(("t", level), level, Hred, table, constraint_system,
-                              Hred, red_table, jet_map)
-
-    # space direction: build psi-jets as Dirac-Hamilton flows of the base fields
-    njets = level
-    jet_map = {}
-    exprs = {}
-    for j, psi_name in enumerate(("psi", "psibar")):
-        cur = DiffPoly.var(JetVar(_BASE_FIELDS[j], 0))
-        exprs[(j, 0)] = cur
-        jet_map[JetVar(psi_name, 0)] = cur
-        for k in range(1, njets):
-            cur = integral_bracket(Hred, cur, red_table, w)
-            exprs[(j, k)] = cur
-            jet_map[JetVar(psi_name, k)] = cur
-
-    # invert the triangular jet map: reduced coordinates in terms of jets
-    inverse: dict[JetVar, DiffPoly] = {}
-    pending = sorted(exprs, key=lambda t: (t[1], t[0]))
-    for _ in range(len(pending) + 2):
-        progress = False
-        for (j, k) in list(pending):
-            e = exprs[(j, k)]
-            unknown = [v for v in e.jets() if _strip_prolongation(v, list(inverse), w) is None]
-            target = DiffPoly.var(JetVar(("psi", "psibar")[j], k))
-            if not unknown:
-                pending.remove((j, k))
-                progress = True
-                continue
-            if len(unknown) == 1:
-                v = unknown[0]
-                dv = e.diff(v)
-                c0 = dv.coefficient(())
-                if (dv - DiffPoly.const(c0)).is_zero() and c0.is_single_term() and not c0.is_zero():
-                    rest = (e - DiffPoly.var(v, c0)).substitute(inverse)
-                    inverse[v] = (target - rest).scale(c0.inverse())
-                    pending.remove((j, k))
-                    progress = True
-        if not progress:
-            break
-    missing = [c for c in reduced if c not in inverse]
-    if missing:
-        raise ValueError(f"could not express phase coordinates in jets: {missing}")
-    rules = dict(inverse)
-
-    jet_coords = [JetVar(f, k) for k in range(njets) for f in ("psi", "psibar")]
-    table_entries = {}
-    for a in range(len(jet_coords)):
-        for b in range(a + 1, len(jet_coords)):
-            ja, jb = jet_coords[a], jet_coords[b]
-            v = leibniz_bracket(jet_map[ja], jet_map[jb], red_table)
-            v = v.substitute(rules)
-            if not v.is_zero():
-                table_entries[(ja, jb)] = v
-    table = BracketTable(jet_coords, table_entries, label=f"T{level}")
-
-    Hdens = Hred.substitute(rules)
-    return LegendreResult("x", level, Hdens, table, constraint_system,
-                          Hred, red_table, jet_map)
+        # the reduced coordinates are the fields themselves
+        table = BracketTable([PSI, PSIBAR], {(PSI, PSIBAR): reduced.entry(PSI, PSIBAR)}, label="S")
+        return LegendreResult(xi, level, Hred, table, cs)
+    table, Hdens = _space_jet_translation(Hred, reduced, level, w)
+    return LegendreResult("x", level, Hdens, table, cs)
 
 
 # ---------------------------------------------------------------------------

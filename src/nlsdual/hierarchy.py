@@ -84,8 +84,8 @@ def _leading_sigma3_scale(X: LaxMatrix) -> Coeff:
         raise ValueError("leading lambda coefficient must be diagonal")
     if not (a + d).is_zero():
         raise ValueError("leading diagonal part not proportional to sigma_3")
-    cc = a.coefficient(())
-    if cc.is_zero() or not (a - DiffPoly.const(cc)).is_zero():
+    cc = a.constant_value()
+    if not cc:
         raise ValueError("leading diagonal part must be a constant multiple of sigma_3")
     return cc
 
@@ -335,8 +335,8 @@ def solve_evolution(X: LaxMatrix, Y: LaxMatrix) -> dict[JetVar, DiffPoly]:
                 dx = x.diff(u)
                 if dx.is_zero():
                     continue
-                c = dx.coefficient(())
-                if c.is_zero() or not (dx - DiffPoly.const(c)).is_zero():
+                c = dx.constant_value()
+                if not c:
                     continue  # unknown appears nonlinearly or with field-dependent coefficient
                 rest = x - DiffPoly.var(u, c)
                 if any(v in unknowns for v in rest.jets()):

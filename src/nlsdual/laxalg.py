@@ -128,18 +128,8 @@ class LaxMatrix:
         return LaxMatrix({p: tuple(f(x) for x in e) for p, e in self.coeffs.items()}, self.xi, self.level)
 
     def d_along(self, var) -> "LaxMatrix":
-        """Total derivative of every entry along 'x' or ('t', n).
-
-        Dual flow labels ('eta', m) name directions whose jets are not
-        materialised in the ring (one dualisation step is the scope here),
-        so differentiating along them is an error.
-        """
-        if var == "x":
-            return self.applyfunc(lambda e: e.d_x())
-        kind, n = var
-        if kind != "t":
-            raise ValueError(f"no jet direction for flow label {var!r}")
-        return self.applyfunc(lambda e: e.d_t(n))
+        """Total derivative of every entry along 'x' or ('t', n); see DiffPoly.d_along."""
+        return self.applyfunc(lambda e: e.d_along(var))
 
     def substitute(self, rules) -> "LaxMatrix":
         return self.applyfunc(lambda e: e.substitute(rules))
@@ -441,25 +431,16 @@ def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
-    acc: dict[tuple[int, int], list] = {}
-    for j, e in A.coeffs.items():
-        if j < 0:
-            raise ValueError("r-matrix bracket requires polynomial lambda dependence")
-        for a in range(j):
-            b = j - 1 - a
-            cur = acc.setdefault((a, b), [_Z] * 16)
-            for i in range(2):
-                for k in range(2):
-                    for jj in range(2):
-                        # (DA x I)[(i,k),(jj,l=k)] - (I x DA)[(i,k),(j=i,l)]
-                        # then column-permuted by P_12
-                        col1 = 2 * jj + k
-                        cur[4 * (2 * i + k) + _PERM_COL[col1]] = (
-                            cur[4 * (2 * i + k) + _PERM_COL[col1]] + e[2 * i + jj]
-                        )
-                        col2 = 2 * i + jj
-                        cur[4 * (2 * i + k) + _PERM_COL[col2]] = (
-                            cur[4 * (2 * i + k) + _PERM_COL[col2]] - e[2 * k + jj]
-                        )
     g = Coeff.make(gamma) * KAPPA
-    return TensorMatrix({k: tuple(x.scale(g) for x in v) for k, v in acc.items()})
+    out = {}
+    for pw, e in divided_difference(A).items():
+        t = [_Z] * 16
+        for i in range(2):
+            for k in range(2):
+                row = 4 * (2 * i + k)
+                for jj in range(2):
+                    # (DA x I)[(i,k),(jj,k)] - (I x DA)[(i,k),(i,jj)], columns permuted by P_12
+                    t[row + _PERM_COL[2 * jj + k]] += e[2 * i + jj]
+                    t[row + _PERM_COL[2 * i + jj]] -= e[2 * k + jj]
+        out[pw] = tuple(x.scale(g) for x in t)
+    return TensorMatrix(out)

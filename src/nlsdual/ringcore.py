@@ -228,23 +228,25 @@ class JetVar:
 
     def prolong_along(self, w, k: int = 1) -> "JetVar":
         """This jet prolonged k times along 'x' or ('t', n)."""
+        n = _t_level(w)
         v = self
         for _ in range(k):
-            v = v.prolong_x() if w == "x" else v.prolong_t(w[1])
+            v = v.prolong_x() if n is None else v.prolong_t(n)
         return v
 
     def prolongation_depth(self, base: "JetVar", w) -> int | None:
         """The k with self == base.prolong_along(w, k), or None if there is none."""
+        n = _t_level(w)
         if self.field != base.field:
             return None
-        if w == "x":
+        if n is None:
             if self.dt == base.dt and self.dx >= base.dx:
                 return self.dx - base.dx
             return None
         if self.dx != base.dx:
             return None
         mine, theirs = dict(self.dt), dict(base.dt)
-        k = mine.pop(w[1], 0) - theirs.pop(w[1], 0)
+        k = mine.pop(n, 0) - theirs.pop(n, 0)
         return k if k >= 0 and mine == theirs else None
 
     def conjugate_var(self) -> "JetVar":
@@ -266,6 +268,19 @@ class JetVar:
 # (field, dx, dt) -> the one JetVar with that value
 _JET_POOL: dict[tuple, JetVar] = {}
 _jet_key = attrgetter("_key")
+
+
+def _t_level(w) -> int | None:
+    """None for the direction 'x', n for ('t', n); any other label raises.
+
+    Jets exist only along x and the t_n; a dual flow label such as
+    ('eta', m) names a direction with no jets in the ring.
+    """
+    if w == "x":
+        return None
+    if isinstance(w, tuple) and len(w) == 2 and w[0] == "t":
+        return w[1]
+    raise ValueError(f"no jet direction for flow label {w!r}")
 
 
 PSI = JetVar("psi")
@@ -429,8 +444,9 @@ class DiffPoly:
         return self._total_derivative(lambda v: v.prolong_t(n))
 
     def d_along(self, w) -> "DiffPoly":
-        """Total derivative along 'x' or ('t', n)."""
-        return self.d_x() if w == "x" else self.d_t(w[1])
+        """Total derivative along 'x' or ('t', n); other labels raise."""
+        n = _t_level(w)
+        return self.d_x() if n is None else self.d_t(n)
 
     def conjugate(self) -> "DiffPoly":
         """Swap psi <-> psibar jets and conjugate all coefficients."""
@@ -472,6 +488,14 @@ class DiffPoly:
 
     def coefficient(self, mono: Iterable[JetVar]) -> Coeff:
         return self.terms.get(tuple(sorted(mono, key=_jet_key)), Coeff.zero())
+
+    def constant_value(self) -> Coeff | None:
+        """The value of a constant polynomial (zero for 0), None otherwise."""
+        if not self.terms:
+            return _ZERO
+        if len(self.terms) == 1 and () in self.terms:
+            return self.terms[()]
+        return None
 
     # -- Euler operators ---------------------------------------------------
     def euler(self, field: str) -> "DiffPoly":
@@ -650,45 +674,6 @@ def _prolong_rule(rhs: DiffPoly, key: JetVar, target: JetVar) -> DiffPoly:
         for _ in range(k - kd.get(n, 0)):
             out = out.d_t(n)
     return out
-
-
-# -- module-level operation aliases (the public functional surface) --------
-
-
-def add(a: DiffPoly, b: DiffPoly) -> DiffPoly:
-    return a + b
-
-
-def mul(a: DiffPoly, b: DiffPoly) -> DiffPoly:
-    return a * b
-
-
-def scale(c: Coeff, a: DiffPoly) -> DiffPoly:
-    return a.scale(c)
-
-
-def d_x(a: DiffPoly) -> DiffPoly:
-    return a.d_x()
-
-
-def d_t(n: int, a: DiffPoly) -> DiffPoly:
-    return a.d_t(n)
-
-
-def conjugate(a: DiffPoly) -> DiffPoly:
-    return a.conjugate()
-
-
-def scaling_dimension(a: DiffPoly):
-    return a.scaling_dimension()
-
-
-def euler_operator(a: DiffPoly, field: str) -> DiffPoly:
-    return a.euler(field)
-
-
-def substitute(a: DiffPoly, rules: Mapping[JetVar, DiffPoly]) -> DiffPoly:
-    return a.substitute(rules)
 
 
 def is_total_x_derivative(a: DiffPoly) -> bool:

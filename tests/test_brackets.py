@@ -344,11 +344,15 @@ def test_level2_time_pipeline_printed():
     assert res.hamiltonian_density == nls_hamiltonian_density()
 
 
+def _canonical(cs):
+    return BracketTable(list(cs.coords) + list(cs.momenta),
+                        {(m, c): DiffPoly.const(1) for m, c in zip(cs.momenta, cs.coords)},
+                        label="canonical")
+
+
 def _assert_constraints_dirac_commute(res):
     cs = res.constraints
-    canonical = BracketTable(list(cs.coords) + list(cs.momenta),
-                             {(m, c): DiffPoly.const(1) for m, c in zip(cs.momenta, cs.coords)},
-                             label="canonical")
+    canonical = _canonical(cs)
     # {C_j, g}_D = 0 for every phase-space coordinate g
     for C in cs.constraints:
         for g in list(cs.coords) + list(cs.momenta):
@@ -361,16 +365,23 @@ def _assert_constraints_dirac_commute(res):
             assert out.is_zero()
 
 
-def test_level2_time_constraints_dirac_commute():
-    _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(2), "time"))
+@pytest.mark.parametrize("level,direction", [(2, "time"), (3, "space"), (4, "space"), (5, "space")],
+                         ids=["L2-time", "L3-space", "L4-space", "L5-space"])
+def test_constraints_dirac_commute(level, direction):
+    _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(level), direction))
 
 
-def test_level3_space_constraints_dirac_commute():
-    _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(3), "space"))
-
-
-def test_level4_space_constraints_dirac_commute():
-    _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(4), "space"))
+@pytest.mark.parametrize("level", [2, 3])
+def test_time_multipliers_solve_the_consistency_conditions(level):
+    # {H, C_j} + sum_k alpha_k {C_k, C_j} = 0; in the time direction H holds
+    # psi-jets only, so no elimination enters {H, C_j}
+    res = dirac_pipeline(build_level_lagrangian(level), "time")
+    cs = res.constraints
+    assert any(not a.is_zero() for a in cs.multipliers)
+    for j, C in enumerate(cs.constraints):
+        lhs = integral_bracket(res.hamiltonian_density, C, _canonical(cs), "x")
+        lhs = lhs + DiffPoly.sum(a.scale(cs.M[k][j]) for k, a in enumerate(cs.multipliers))
+        assert lhs.is_zero(), j
 
 
 def test_level2_space_pipeline_printed():

@@ -185,6 +185,14 @@ def test_dual_flow_direction_has_no_jets():
         zero_curvature_residual(V2, D3)   # would need eta-jets, out of scope
 
 
+def test_dual_w_series_beyond_its_degree_needs_eta_jets():
+    # order 3 > degree 2 differentiates the dual matrix along its own flow
+    D2 = dual_hierarchy(2, 2)
+    assert D2.xi == ("eta", 2) and D2.degree() == 2
+    with pytest.raises(ValueError):
+        solve_W(D2, 3)
+
+
 def test_evolution_level_2_schrodinger_flow():
     rules = evolution_rules(2)
     i = Coeff.i()

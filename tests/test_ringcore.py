@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nlsdual.ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA,
-                              euler_operator, is_total_x_derivative, jet, substitute)
+                              is_total_x_derivative, jet)
 from helpers import pj, qj, v, mono, cf, random_poly, random_x_poly, x_block, y_block, nls_hamiltonian_density
 
 
@@ -74,6 +74,20 @@ def test_dx_basics():
     assert v(pj(1)).d_t(2) == v(pj(1, [(2, 1)]))
 
 
+# jets exist along x and the t_n only; the dual flow label ('eta', 2) is not t_2
+
+def test_no_derivative_along_a_dual_flow_label():
+    with pytest.raises(ValueError):
+        DiffPoly.var(PSI).d_along(("eta", 2))
+    assert DiffPoly.var(PSI).d_along(("t", 2)) == v(pj(0, [(2, 1)]))
+
+
+def test_no_prolongation_along_a_dual_flow_label():
+    with pytest.raises(ValueError):
+        PSI.prolong_along(("eta", 2))
+    assert PSI.prolong_along("x", 2) is pj(2)
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(0, 10**6))
 def test_derivatives_commute_and_leibniz(seed):
@@ -128,10 +142,10 @@ def test_scaling_dimension_grading(seed):
 # --- Euler operator ----------------------------------------------------------
 
 def test_euler_examples():
-    assert euler_operator(mono([pj(), qj()]).d_x(), "psi") == DiffPoly.zero()
+    assert mono([pj(), qj()]).d_x().euler("psi") == DiffPoly.zero()
     quartic = mono([pj(), pj(), qj(), qj()], cf(1, 0, 2))
-    assert euler_operator(quartic, "psi") == mono([pj(), qj(), qj()], cf(2, 0, 2))
-    assert euler_operator(mono([pj(1), qj(1)]), "psibar") == -v(pj(2))
+    assert quartic.euler("psi") == mono([pj(), qj(), qj()], cf(2, 0, 2))
+    assert mono([pj(1), qj(1)]).euler("psibar") == -v(pj(2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -140,32 +154,32 @@ def test_euler_kills_total_derivatives(seed):
     rng = random.Random(seed)
     a = random_x_poly(rng)
     d = a.d_x()
-    assert euler_operator(d, "psi") == DiffPoly.zero()
-    assert euler_operator(d, "psibar") == DiffPoly.zero()
+    assert d.euler("psi") == DiffPoly.zero()
+    assert d.euler("psibar") == DiffPoly.zero()
     assert is_total_x_derivative(d)
 
 
 def test_euler_rejects_t_jets():
     with pytest.raises(ValueError):
-        euler_operator(v(pj(0, [(2, 1)])), "psi")
+        v(pj(0, [(2, 1)])).euler("psi")
 
 
 # --- substitution ------------------------------------------------------------
 
 def test_substitute_empty_and_direct():
-    assert substitute(v(pj(1)), {}) == v(pj(1))
+    assert v(pj(1)).substitute({}) == v(pj(1))
     rules = {pj(0, [(2, 1)]): v(pj(1))}
     # prolongation of a translation-like rule
-    assert substitute(v(pj(1, [(2, 1)])), rules) == v(pj(2))
+    assert v(pj(1, [(2, 1)])).substitute(rules) == v(pj(2))
 
 
 def test_substitute_nls_rule():
     # the level-2 flow rule collapses psi_t2 to x-jets
     rule = {pj(0, [(2, 1)]): v(pj(2), Coeff.i()) + mono([pj(), pj(), qj()], cf(0, -2, 2))}
-    out = substitute(v(pj(0, [(2, 1)])), rule)
+    out = v(pj(0, [(2, 1)])).substitute(rule)
     assert out == v(pj(2), Coeff.i()) + mono([pj(), pj(), qj()], cf(0, -2, 2))
     # mixed jet psi_x,t2 goes through the prolonged rule
-    out2 = substitute(v(pj(1, [(2, 1)])), rule)
+    out2 = v(pj(1, [(2, 1)])).substitute(rule)
     expected = (v(pj(2), Coeff.i()) + mono([pj(), pj(), qj()], cf(0, -2, 2))).d_x()
     assert out2 == expected
 
@@ -173,12 +187,12 @@ def test_substitute_nls_rule():
 def test_substitute_cyclic_rejected():
     rules = {pj(): v(pj(1)), pj(1): v(pj())}
     with pytest.raises(ValueError):
-        substitute(v(pj()), rules)
+        v(pj()).substitute(rules)
 
 
 def test_substitute_power():
     rules = {pj(): v(qj()) + DiffPoly.const(1)}
-    out = substitute(mono([pj(), pj()]), rules)
+    out = mono([pj(), pj()]).substitute(rules)
     assert out == mono([qj(), qj()]) + v(qj(), 2) + DiffPoly.const(1)
 
 
