@@ -393,7 +393,7 @@ def full_euler(L: DiffPoly, fld: str, level: int) -> DiffPoly:
     return DiffPoly.sum(terms)
 
 
-def ostrogradski_reduce(L: DiffPoly, max_x_order: int | None = None) -> Reduction:
+def ostrogradski_reduce(L: DiffPoly) -> Reduction:
     """Rewrite a Lagrangian with x-derivatives of order up to K as a first-
     order system, adjoining chain fields for the lower jets and one Lagrange
     multiplier per chain constraint.
@@ -404,8 +404,7 @@ def ostrogradski_reduce(L: DiffPoly, max_x_order: int | None = None) -> Reductio
     if len(levels) != 1:
         raise ValueError("expected exactly one t-level in the Lagrangian")
     level = levels.pop()
-    K = L.max_x_order() if max_x_order is None else max_x_order
-    K = max(K, 1)
+    K = max(L.max_x_order(), 1)
     for v in L.jets():
         if v.dt and v.dx:
             raise ValueError("mixed x/t jets are not supported in the Lagrangian")

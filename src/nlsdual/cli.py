@@ -151,6 +151,7 @@ def cmd_sim(args) -> int:
     rng = np.random.default_rng(args.seed)
     n, L = args.grid, np.pi
     kappa = args.kappa
+    x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
         mode = 2
         k = mode * np.pi / L
@@ -160,13 +161,11 @@ def cmd_sim(args) -> int:
         # approximately periodic on a finite box; exploratory only
         if kappa >= 0:
             kappa = -1.0
-        x = -L + (2 * L / n) * np.arange(n)
         amp = 2.0
-        state = numlab.GridState(amp / np.cosh(amp * x), L, kappa, "x")
+        state = numlab.GridState(amp / np.cosh(amp * x), L, kappa)
     else:
-        x = -L + (2 * L / n) * np.arange(n)
         prof = 0.7 + 0.2 * np.cos(x) + 0.1 * rng.standard_normal()
-        state = numlab.GridState(prof * np.exp(1j * x), L, kappa, "x")
+        state = numlab.GridState(prof * np.exp(1j * x), L, kappa)
 
     traj = numlab.evolve_nls(state, (0.0, args.t_end), args.steps,
                              n_snapshots=5, record_fine=(args.check == "monodromy"))

@@ -7,6 +7,11 @@ densities on grids, and integrates the auxiliary linear problem across a
 periodic cell in either the x- or the t-direction to produce transfer
 (monodromy) matrices whose traces are the conserved generating objects.
 
+Both directions sample psi and its x-derivatives along the integration
+line (a supersampled snapshot, or one station for every recorded step);
+one jet evaluator maps them onto psi/psibar jets and one RK4 loop
+integrates the resulting entry arrays across the cell.
+
 t-jets required inside a flow matrix during time-direction transfer are
 obtained by substituting the symbolic evolution rules and evaluating
 x-jets spectrally; they are never computed by numerical t-differentiation.
@@ -14,7 +19,7 @@ x-jets spectrally; they are never computed by numerical t-differentiation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,7 +35,6 @@ class GridState:
     samples: np.ndarray
     half_length: float              # domain is [-L, L)
     kappa: float
-    var: object = "x"               # 'x' or ('t', n)
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=complex)
@@ -62,11 +66,14 @@ def spectral_resample(samples: np.ndarray, factor: int) -> np.ndarray:
     coeffs = np.fft.fft(samples)
     big = np.zeros(n * factor, dtype=complex)
     h = n // 2
+    n_neg = n - h - 1                   # strictly negative frequencies
     big[:h] = coeffs[:h]
-    big[-h:] = coeffs[-h:]
-    # split the Nyquist coefficient symmetrically
-    big[h] = 0.5 * coeffs[h] if n % 2 == 0 else coeffs[h]
-    if n % 2 == 0:
+    big[n * factor - n_neg:] = coeffs[h + 1:]
+    if n % 2:
+        big[h] = coeffs[h]
+    else:
+        # split the Nyquist coefficient symmetrically
+        big[h] += 0.5 * coeffs[h]
         big[n * factor - h] += 0.5 * coeffs[h]
     return np.fft.ifft(big) * factor
 
@@ -79,12 +86,11 @@ class Trajectory:
     snapshots: list[np.ndarray]
     half_length: float
     kappa: float
-    level: int = 2
     fine_times: np.ndarray | None = None
     fine_fields: np.ndarray | None = None   # shape (n_steps+1, N) when recorded
 
     def state(self, i: int) -> GridState:
-        return GridState(self.snapshots[i], self.half_length, self.kappa, "x")
+        return GridState(self.snapshots[i], self.half_length, self.kappa)
 
 
 def _nls_rhs(psi: np.ndarray, half_length: float, kappa: float) -> np.ndarray:
@@ -133,7 +139,7 @@ def plane_wave(n: int, half_length: float, kappa: float, amplitude: float, mode:
     """A exp(i k x) with k commensurate with the box."""
     x = -half_length + (2 * half_length / n) * np.arange(n)
     k = mode * np.pi / half_length
-    return GridState(amplitude * np.exp(1j * k * x), half_length, kappa, "x")
+    return GridState(amplitude * np.exp(1j * k * x), half_length, kappa)
 
 
 def plane_wave_exact(state: GridState, mode: int, amplitude: float, t: float) -> np.ndarray:
@@ -149,15 +155,33 @@ def plane_wave_exact(state: GridState, mode: int, amplitude: float, t: float) ->
 # ---------------------------------------------------------------------------
 
 
-def _jet_values(psi: np.ndarray, half_length: float, jets: Sequence[JetVar]) -> dict[JetVar, np.ndarray]:
+def _x_derivatives(psi: np.ndarray, half_length: float, order: int) -> list[np.ndarray]:
+    """psi and its spectral x-derivatives up to ``order``."""
+    return [psi] + [spectral_derivative(psi, half_length, k) for k in range(1, order + 1)]
+
+
+def _station_derivatives(fields: np.ndarray, half_length: float, station: int,
+                         order: int) -> list[np.ndarray]:
+    """psi and its x-derivatives up to ``order`` at grid index ``station``, for
+    every row of ``fields``.  Spectral differentiation is circulant, so row
+    ``station`` of the k-th derivative matrix is the derivative of a unit
+    impulse at index 0, read at (station - j) mod n."""
+    n = fields.shape[1]
+    impulse = np.zeros(n, dtype=complex)
+    impulse[0] = 1.0
+    back = (station - np.arange(n)) % n
+    out = [fields[:, station]]
+    for k in range(1, order + 1):
+        out.append(fields @ spectral_derivative(impulse, half_length, k)[back])
+    return out
+
+
+def _jet_values(derivs: Sequence[np.ndarray], jets: Sequence[JetVar]) -> dict[JetVar, np.ndarray]:
+    """Map psi/psibar x-jets onto ``derivs``, the x-derivatives of psi by order."""
     vals: dict[JetVar, np.ndarray] = {}
-    dmax = max((v.dx for v in jets), default=0)
-    derivs = [psi]
-    for k in range(1, dmax + 1):
-        derivs.append(spectral_derivative(psi, half_length, k))
-    for v in jets:
+    for v in sorted(jets, key=JetVar.sort_key):
         if v.dt:
-            raise ValueError(f"t-jet {v} cannot be evaluated on a single snapshot; "
+            raise ValueError(f"t-jet {v} cannot be evaluated from x-derivatives; "
                              "substitute the evolution rules first")
         if v.field == "psi":
             vals[v] = derivs[v.dx]
@@ -169,8 +193,8 @@ def _jet_values(psi: np.ndarray, half_length: float, jets: Sequence[JetVar]) -> 
 
 
 def evaluate_density(density: DiffPoly, psi: np.ndarray, half_length: float, kappa: float) -> np.ndarray:
-    vals = _jet_values(psi, half_length, sorted(density.jets(), key=JetVar.sort_key))
-    return density.evaluate(vals, kappa)
+    derivs = _x_derivatives(psi, half_length, density.max_x_order())
+    return density.evaluate(_jet_values(derivs, density.jets()), kappa)
 
 
 def charge_evaluate(density: DiffPoly, traj: Trajectory,
@@ -209,41 +233,27 @@ class MonodromySample:
         return np.array([abs(np.linalg.det(m) - 1.0) for m in self.matrices])
 
 
-def _entry_arrays(M: LaxMatrix, values: Mapping[JetVar, np.ndarray], kappa: float, npts: int):
-    """For each lambda power, the 4 entry arrays over the supersampled grid."""
+def _entry_arrays(M: LaxMatrix, values: Mapping[JetVar, np.ndarray], kappa: float,
+                  npts: int) -> dict[int, np.ndarray]:
+    """For each lambda power, the entries of M as one (npts, 2, 2) array."""
     out = {}
     for p, e in M.coeffs.items():
-        arrs = []
-        for x in e:
-            if x.is_zero():
-                arrs.append(np.zeros(npts, dtype=complex))
-            else:
-                v = x.evaluate(values, kappa)
-                arrs.append(np.broadcast_to(np.asarray(v, dtype=complex), (npts,)).copy()
-                            if np.ndim(v) == 0 else np.asarray(v, dtype=complex))
-        out[p] = arrs
+        arr = np.zeros((npts, 2, 2), dtype=complex)
+        for idx, x in enumerate(e):
+            if not x.is_zero():
+                arr[:, idx // 2, idx % 2] = x.evaluate(values, kappa)
+        out[p] = arr
     return out
 
 
-def _rk4_transfer(entry_arrays: Mapping[int, list], lam: complex, h: float, n_steps: int) -> np.ndarray:
-    """Integrate T' = A(s; lam) T across the cell; arrays are sampled at
-    half-steps (2*n_steps+1 points, periodic wrap for the final one)."""
-
-    def A_at(idx: int) -> np.ndarray:
-        a = np.zeros((2, 2), dtype=complex)
-        for p, arrs in entry_arrays.items():
-            lp = lam**p
-            a[0, 0] += lp * arrs[0][idx]
-            a[0, 1] += lp * arrs[1][idx]
-            a[1, 0] += lp * arrs[2][idx]
-            a[1, 1] += lp * arrs[3][idx]
-        return a
-
+def _rk4_transfer(entry_arrays: Mapping[int, np.ndarray], lam: complex, h: float, n_steps: int) -> np.ndarray:
+    """Integrate T' = A(s; lam) T across the cell; A is sampled at half-steps
+    (2*n_steps+1 points, periodic wrap for the final one)."""
+    A = sum(lam**p * arr for p, arr in entry_arrays.items())
+    npts = len(A)
     T = np.eye(2, dtype=complex)
-    npts = len(next(iter(entry_arrays.values()))[0])
     for j in range(n_steps):
-        i0, i1, i2 = 2 * j, 2 * j + 1, (2 * j + 2) % npts
-        A0, A1, A2 = A_at(i0), A_at(i1), A_at(i2)
+        A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
         k1 = A0 @ T
         k2 = A1 @ (T + 0.5 * h * k1)
         k3 = A1 @ (T + 0.5 * h * k2)
@@ -259,7 +269,8 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     """Fundamental solution of d/ds Psi = M(s; lam) Psi across one period.
 
     direction 'along_x': ``data`` is a GridState (one snapshot); the entries
-    of M are sampled on a 2x supersampled spatial grid.
+    of M are sampled on a spatial grid supersampled by ``2 * substeps``, and
+    the integration step is ``step / substeps``.
     direction 'along_t': ``data`` is a Trajectory recorded with
     ``record_fine=True``; the entries are evaluated at the x-index
     ``station`` for every recorded step, and the integration step is two
@@ -268,47 +279,30 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     Any t-jets in M must be eliminated via ``rules`` (symbolic substitution).
     """
     Msub = M.substitute(rules) if rules else M
-    if any(v.dt for v in Msub.jets()):
+    jets = Msub.jets()
+    if any(v.dt for v in jets):
         raise ValueError("matrix still contains t-jets; pass the evolution rules")
+    order = max((v.dx for v in jets), default=0)
 
     if direction == "along_x":
         state: GridState = data
-        psi2 = spectral_resample(state.samples, 2 * substeps)
-        jets = sorted(Msub.jets(), key=JetVar.sort_key)
-        vals = _jet_values(psi2, state.half_length, jets)
-        arrays = _entry_arrays(Msub, vals, state.kappa, psi2.size)
+        psi_fine = spectral_resample(state.samples, 2 * substeps)
+        derivs = _x_derivatives(psi_fine, state.half_length, order)
         h = state.step / substeps
         n_steps = state.n * substeps
     elif direction == "along_t":
         traj: Trajectory = data
         if traj.fine_fields is None:
             raise ValueError("time-direction transfer needs a trajectory recorded with record_fine=True")
-        fields = traj.fine_fields
-        if fields.shape[0] % 2 == 0:
+        if traj.fine_fields.shape[0] % 2 == 0:
             raise ValueError("need an even number of steps (odd number of records)")
-        jets = sorted(Msub.jets(), key=JetVar.sort_key)
-        dmax = max((v.dx for v in jets), default=0)
-        n_rec = fields.shape[0]
-        vals: dict[JetVar, np.ndarray] = {}
-        # spatial derivatives of every record, sampled at the station
-        col = {0: fields[:, station]}
-        for k in range(1, dmax + 1):
-            dk = np.array([spectral_derivative(fields[r], traj.half_length, k)[station]
-                           for r in range(n_rec)])
-            col[k] = dk
-        for v in jets:
-            if v.field == "psi":
-                vals[v] = col[v.dx]
-            elif v.field == "psibar":
-                vals[v] = np.conj(col[v.dx])
-            else:
-                raise ValueError(f"cannot evaluate field {v.field!r}")
-        arrays = _entry_arrays(Msub, vals, traj.kappa, n_rec)
+        derivs = _station_derivatives(traj.fine_fields, traj.half_length, station, order)
         h = 2 * (traj.fine_times[1] - traj.fine_times[0])
-        n_steps = (n_rec - 1) // 2
+        n_steps = (traj.fine_fields.shape[0] - 1) // 2
     else:
         raise ValueError("direction must be 'along_x' or 'along_t'")
 
+    arrays = _entry_arrays(Msub, _jet_values(derivs, jets), data.kappa, derivs[0].size)
     mats = [_rk4_transfer(arrays, lam, h, n_steps) for lam in lam_values]
     sample = MonodromySample(list(lam_values), mats, direction)
     bad = sample.det_errors().max()

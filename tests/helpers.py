@@ -6,6 +6,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+import numpy as np
+
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
 
 I = Coeff.i()
@@ -188,3 +190,40 @@ def leibniz_bracket_per_entry(f: DiffPoly, g: DiffPoly, table) -> DiffPoly:
             continue
         out = out + fa * gb * t
     return out
+
+
+def transfer_along_t_per_record(M, traj, lam_values, station: int) -> list:
+    """t-direction transfer matrices of M at grid index ``station``, taking
+    one FFT of every recorded step and building the 2x2 matrix afresh at
+    every RK4 stage."""
+    from nlsdual.numlab import spectral_derivative
+    fields = traj.fine_fields
+    n_rec = fields.shape[0]
+    order = max((v.dx for v in M.jets()), default=0)
+    col = {0: fields[:, station]}
+    for k in range(1, order + 1):
+        col[k] = np.array([spectral_derivative(fields[r], traj.half_length, k)[station]
+                           for r in range(n_rec)])
+    vals = {v: col[v.dx] if v.field == "psi" else np.conj(col[v.dx]) for v in M.jets()}
+    entries = {p: [np.broadcast_to(np.asarray(x.evaluate(vals, traj.kappa), dtype=complex), (n_rec,))
+                   for x in e]
+               for p, e in M.coeffs.items()}
+    h = 2 * (traj.fine_times[1] - traj.fine_times[0])
+    mats = []
+    for lam in lam_values:
+        def A_at(idx):
+            a = np.zeros((2, 2), dtype=complex)
+            for p, arrs in entries.items():
+                a += lam**p * np.array([arr[idx] for arr in arrs]).reshape(2, 2)
+            return a
+
+        T = np.eye(2, dtype=complex)
+        for j in range((n_rec - 1) // 2):
+            A0, A1, A2 = A_at(2 * j), A_at(2 * j + 1), A_at(2 * j + 2)
+            k1 = A0 @ T
+            k2 = A1 @ (T + 0.5 * h * k1)
+            k3 = A1 @ (T + 0.5 * h * k2)
+            k4 = A2 @ (T + h * k3)
+            T = T + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        mats.append(T)
+    return mats

@@ -6,9 +6,16 @@ import pytest
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
 from nlsdual.ringcore import DiffPoly, JetVar
-from helpers import pj, qj, v, mono, cf
+from helpers import pj, qj, v, mono, cf, transfer_along_t_per_record
 
 U = build_u()
+
+
+def _generic_field(n: int = 128) -> N.GridState:
+    """A smooth field whose modulus varies in x, so stations differ."""
+    L = np.pi
+    x = -L + (2 * L / n) * np.arange(n)
+    return N.GridState((0.6 + 0.2 * np.cos(x)) * np.exp(1j * np.sin(x)), L, 1.0)
 
 
 def test_grid_state_validation():
@@ -55,11 +62,7 @@ def test_mass_charge_on_plane_wave_exact():
 
 
 def test_energy_charge_on_generic_field():
-    n, L = 128, np.pi
-    x = -L + (2 * L / n) * np.arange(n)
-    psi0 = (0.6 + 0.2 * np.cos(x)) * np.exp(1j * np.sin(x))
-    st = N.GridState(psi0, L, 1.0)
-    traj = N.evolve_nls(st, (0.0, 0.4), 4000, n_snapshots=5)
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.4), 4000, n_snapshots=5)
     energy = density_ladder(U, 3)[2]
     ch = N.charge_evaluate(energy, traj)
     assert np.max(np.abs(ch - ch[0])) / abs(ch[0]) < 1e-6
@@ -135,6 +138,20 @@ def test_time_transfer_station_independence_on_periodic_wave():
     assert np.max(np.abs(trs - trs[0]) / np.abs(trs[0])) < 1e-6
 
 
+def test_time_transfer_matches_per_record_reference_on_generic_field():
+    # on a plane wave every station sees the same data up to a phase, so
+    # station agreement cannot catch a wrong station derivative; here the
+    # matrices are compared against a per-record FFT evaluation instead
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.4), 2000, n_snapshots=2, record_fine=True)
+    V2 = generate_partner(U, 1, 2)
+    lams = [0.5, -1.2]
+    for station in (5, 77):
+        got = np.array(N.transfer_matrix(V2, traj, lams, "along_t", station=station,
+                                         det_tol=1e-8).matrices)
+        want = np.array(transfer_along_t_per_record(V2, traj, lams, station))
+        assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
 def test_transfer_rejects_surviving_t_jets():
     D3 = __import__("nlsdual.hierarchy", fromlist=["dual_hierarchy"]).dual_hierarchy(2, 3)
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
@@ -149,10 +166,15 @@ def test_convergence_is_fourth_order():
 
 
 def test_spectral_resample_band_limited():
-    n = 32
-    x = np.linspace(0, 2 * np.pi, n, endpoint=False)
-    f = np.exp(2j * x) + 0.5 * np.exp(-3j * x)
-    g = N.spectral_resample(f, 2)
-    x2 = np.linspace(0, 2 * np.pi, 2 * n, endpoint=False)
-    want = np.exp(2j * x2) + 0.5 * np.exp(-3j * x2)
-    assert np.max(np.abs(g - want)) < 1e-12
+    def check(n, factor, f):
+        x = np.linspace(0, 2 * np.pi, n, endpoint=False)
+        g = N.spectral_resample(f(x), factor)
+        x_fine = np.linspace(0, 2 * np.pi, factor * n, endpoint=False)
+        assert np.max(np.abs(g - f(x_fine))) < 1e-12
+        assert np.max(np.abs(g[::factor] - f(x))) < 1e-12   # the input samples are kept
+
+    check(32, 2, lambda x: np.exp(2j * x) + 0.5 * np.exp(-3j * x))
+    # the top resolved mode n // 2: the Nyquist mode for even n
+    for n in (16, 17):
+        for factor in (2, 3):
+            check(n, factor, lambda x: np.cos((n // 2) * x) + 0.5 * np.exp(2j * x))
