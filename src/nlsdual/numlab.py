@@ -9,8 +9,9 @@ periodic cell in either the x- or the t-direction to produce transfer
 
 Both directions sample psi and its x-derivatives along the integration
 line (a supersampled snapshot, or one station for every recorded step);
-one jet evaluator maps them onto psi/psibar jets and one RK4 loop
-integrates the resulting entry arrays across the cell.
+one jet evaluator maps them onto psi/psibar jets.  The ODE is linear, so
+each RK4 step is a 2x2 propagator: for each lambda all of them are built at
+once, and their ordered product is taken by pairwise tree reduction.
 
 t-jets required inside a flow matrix during time-direction transfer are
 obtained by substituting the symbolic evolution rules and evaluating
@@ -53,11 +54,22 @@ class GridState:
         return -self.half_length + self.step * np.arange(self.n)
 
 
+def _wavenumbers(n: int, half_length: float) -> np.ndarray:
+    """Angular wavenumbers of the FFT of n samples on [-L, L)."""
+    return np.fft.fftfreq(n, d=2.0 * half_length / n) * 2.0 * np.pi
+
+
 def spectral_derivative(samples: np.ndarray, half_length: float, order: int = 1) -> np.ndarray:
-    """Periodic spectral derivative of given order."""
+    """Periodic spectral derivative of given order.
+
+    For odd orders on an even grid the Nyquist coefficient is zeroed: odd
+    derivatives of that mode vanish at every sample (d/dx cos(8x) is 0 on
+    16 points), while (ik)^order would give it an imaginary value."""
     n = samples.size
-    k = np.fft.fftfreq(n, d=2.0 * half_length / n) * 2.0 * np.pi
-    return np.fft.ifft((1j * k) ** order * np.fft.fft(samples))
+    mult = (1j * _wavenumbers(n, half_length)) ** order
+    if order % 2 and n % 2 == 0:
+        mult[n // 2] = 0.0
+    return np.fft.ifft(mult * np.fft.fft(samples))
 
 
 def spectral_resample(samples: np.ndarray, factor: int) -> np.ndarray:
@@ -93,45 +105,51 @@ class Trajectory:
         return GridState(self.snapshots[i], self.half_length, self.kappa)
 
 
-def _nls_rhs(psi: np.ndarray, half_length: float, kappa: float) -> np.ndarray:
-    psixx = spectral_derivative(psi, half_length, 2)
-    return 1j * psixx - 2j * kappa * np.abs(psi) ** 2 * psi
-
-
 def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
                n_snapshots: int = 5, record_fine: bool = False) -> Trajectory:
     """RK4 time stepping of i psi_t = -psi_xx + 2 kappa |psi|^2 psi.
 
     Spectral x-derivatives; aborts on norm blowup (step-size instability).
+    Returns exactly ``n_snapshots`` snapshots, evenly spaced in steps.
     """
+    if steps < 1 or not 1 <= n_snapshots <= steps + 1:
+        raise ValueError(f"need steps >= 1 and 1 <= n_snapshots <= steps + 1, "
+                         f"got steps={steps}, n_snapshots={n_snapshots}")
     t0, t1 = t_span
     dt = (t1 - t0) / steps
     psi = initial.samples.copy()
     L, kap = initial.half_length, initial.kappa
+    lap = (1j * _wavenumbers(psi.size, L)) ** 2
+
+    def rhs(u):
+        return 1j * np.fft.ifft(lap * np.fft.fft(u)) - 2j * kap * np.abs(u) ** 2 * u
+
     norm0 = np.linalg.norm(psi)
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
     times, snaps = [], []
-    fine = [psi.copy()] if record_fine else None
+    if record_fine:
+        fine = np.empty((steps + 1, psi.size), dtype=complex)
+        fine[0] = psi
     if 0 in snap_at:
         times.append(t0)
         snaps.append(psi.copy())
     for s in range(1, steps + 1):
-        k1 = _nls_rhs(psi, L, kap)
-        k2 = _nls_rhs(psi + 0.5 * dt * k1, L, kap)
-        k3 = _nls_rhs(psi + 0.5 * dt * k2, L, kap)
-        k4 = _nls_rhs(psi + dt * k3, L, kap)
+        k1 = rhs(psi)
+        k2 = rhs(psi + 0.5 * dt * k1)
+        k3 = rhs(psi + 0.5 * dt * k2)
+        k4 = rhs(psi + dt * k3)
         psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         if not np.isfinite(psi).all() or np.linalg.norm(psi) > 1e6 * (norm0 + 1):
             raise FloatingPointError(f"norm blowup at step {s}: reduce the time step")
         if record_fine:
-            fine.append(psi.copy())
+            fine[s] = psi
         if s in snap_at:
             times.append(t0 + s * dt)
             snaps.append(psi.copy())
     traj = Trajectory(np.array(times), snaps, L, kap)
     if record_fine:
         traj.fine_times = t0 + dt * np.arange(steps + 1)
-        traj.fine_fields = np.array(fine)
+        traj.fine_fields = fine
     return traj
 
 
@@ -246,20 +264,44 @@ def _entry_arrays(M: LaxMatrix, values: Mapping[JetVar, np.ndarray], kappa: floa
     return out
 
 
-def _rk4_transfer(entry_arrays: Mapping[int, np.ndarray], lam: complex, h: float, n_steps: int) -> np.ndarray:
-    """Integrate T' = A(s; lam) T across the cell; A is sampled at half-steps
-    (2*n_steps+1 points, periodic wrap for the final one)."""
+def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 products a @ b, written out as column-times-row sums:
+    numpy's batched ``@`` handles each 2x2 matrix separately and is several
+    times slower on long stacks."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def _step_propagators(entry_arrays: Mapping[int, np.ndarray], lam: complex, h: float) -> np.ndarray:
+    """The RK4 step maps T -> P_j T of T' = A(s; lam) T for every step j at
+    once, as one (n_steps, 2, 2) array.
+
+    A = sum_p lam^p E_p is sampled at half-steps: 2*n_steps points on a
+    periodic line (the last step ends on the first point) or 2*n_steps+1
+    points.  P_j is the RK4 stage formula applied to T = I."""
     A = sum(lam**p * arr for p, arr in entry_arrays.items())
     npts = len(A)
-    T = np.eye(2, dtype=complex)
-    for j in range(n_steps):
-        A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
-        k1 = A0 @ T
-        k2 = A1 @ (T + 0.5 * h * k1)
-        k3 = A1 @ (T + 0.5 * h * k2)
-        k4 = A2 @ (T + h * k3)
-        T = T + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return T
+    j = np.arange(npts // 2)
+    A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
+    k2 = A1 + (0.5 * h) * _matmul2(A1, A0)
+    k3 = A1 + (0.5 * h) * _matmul2(A1, k2)
+    k4 = A2 + h * _matmul2(A2, k3)
+    P = (h / 6.0) * (A0 + 2 * k2 + 2 * k3 + k4)
+    P[:, 0, 0] += 1.0
+    P[:, 1, 1] += 1.0
+    return P
+
+
+def _ordered_product(P: np.ndarray) -> np.ndarray:
+    """P[n-1] ... P[1] P[0] by pairwise tree reduction: each level multiplies
+    neighbours in one batched product, and an odd last factor is folded into
+    the last pair."""
+    while len(P) > 1:
+        n = len(P)
+        pairs = _matmul2(P[1:n - n % 2:2], P[0:n - n % 2:2])
+        if n % 2:
+            pairs[-1] = _matmul2(P[-1], pairs[-1])
+        P = pairs
+    return P[0]
 
 
 def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction: str,
@@ -289,7 +331,6 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
         psi_fine = spectral_resample(state.samples, 2 * substeps)
         derivs = _x_derivatives(psi_fine, state.half_length, order)
         h = state.step / substeps
-        n_steps = state.n * substeps
     elif direction == "along_t":
         traj: Trajectory = data
         if traj.fine_fields is None:
@@ -298,12 +339,13 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
             raise ValueError("need an even number of steps (odd number of records)")
         derivs = _station_derivatives(traj.fine_fields, traj.half_length, station, order)
         h = 2 * (traj.fine_times[1] - traj.fine_times[0])
-        n_steps = (traj.fine_fields.shape[0] - 1) // 2
     else:
         raise ValueError("direction must be 'along_x' or 'along_t'")
 
     arrays = _entry_arrays(Msub, _jet_values(derivs, jets), data.kappa, derivs[0].size)
-    mats = [_rk4_transfer(arrays, lam, h, n_steps) for lam in lam_values]
+    # one lambda at a time: stacking them is no faster and multiplies the
+    # transient (steps, 2, 2) arrays by the number of lambdas
+    mats = [_ordered_product(_step_propagators(arrays, lam, h)) for lam in lam_values]
     sample = MonodromySample(list(lam_values), mats, direction)
     bad = sample.det_errors().max()
     if bad > det_tol:

@@ -227,3 +227,42 @@ def transfer_along_t_per_record(M, traj, lam_values, station: int) -> list:
             T = T + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         mats.append(T)
     return mats
+
+
+def rk4_transfer_sequential(entry_arrays, lam: complex, h: float, n_steps: int):
+    """Integrate T' = A(s; lam) T across the cell one RK4 step at a time; A is
+    sampled at half-steps (2*n_steps points with a periodic wrap for the
+    final one, or 2*n_steps+1 points)."""
+    A = sum(lam**p * arr for p, arr in entry_arrays.items())
+    npts = len(A)
+    T = np.eye(2, dtype=complex)
+    for j in range(n_steps):
+        A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
+        k1 = A0 @ T
+        k2 = A1 @ (T + 0.5 * h * k1)
+        k3 = A1 @ (T + 0.5 * h * k2)
+        k4 = A2 @ (T + h * k3)
+        T = T + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+    return T
+
+
+def evolve_nls_per_stage(initial, t_span, steps: int):
+    """Every record of an RK4 run of i psi_t = -psi_xx + 2 kappa |psi|^2 psi
+    whose right-hand side calls spectral_derivative afresh at every stage."""
+    from nlsdual.numlab import spectral_derivative
+    L, kap = initial.half_length, initial.kappa
+
+    def rhs(psi):
+        return 1j * spectral_derivative(psi, L, 2) - 2j * kap * np.abs(psi) ** 2 * psi
+
+    dt = (t_span[1] - t_span[0]) / steps
+    psi = initial.samples.copy()
+    fine = [psi.copy()]
+    for _ in range(steps):
+        k1 = rhs(psi)
+        k2 = rhs(psi + 0.5 * dt * k1)
+        k3 = rhs(psi + 0.5 * dt * k2)
+        k4 = rhs(psi + dt * k3)
+        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+        fine.append(psi.copy())
+    return np.array(fine)

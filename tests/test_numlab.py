@@ -6,7 +6,8 @@ import pytest
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
 from nlsdual.ringcore import DiffPoly, JetVar
-from helpers import pj, qj, v, mono, cf, transfer_along_t_per_record
+from helpers import (pj, qj, v, mono, cf, evolve_nls_per_stage, rk4_transfer_sequential,
+                     transfer_along_t_per_record)
 
 U = build_u()
 
@@ -43,6 +44,31 @@ def test_free_schroedinger_phase_rotation():
     k = 3.0
     exact = st.samples * np.exp(-1j * k * k * 0.25)
     assert np.max(np.abs(traj.snapshots[-1] - exact)) < 1e-9
+
+
+def test_evolution_is_bitwise_the_per_stage_reference():
+    st = _generic_field(64)
+    steps, span = 301, (0.0, 0.1)
+    traj = N.evolve_nls(st, span, steps, n_snapshots=4, record_fine=True)
+    assert np.array_equal(traj.fine_fields, evolve_nls_per_stage(st, span, steps))
+    rows = [int(np.flatnonzero(traj.fine_times == t)[0]) for t in traj.times]
+    assert len(rows) == 4 and rows[0] == 0 and rows[-1] == steps
+    for row, snap in zip(rows, traj.snapshots):
+        assert np.array_equal(snap, traj.fine_fields[row])
+
+
+@pytest.mark.parametrize("steps, n_snapshots", [(2, 5), (0, 1), (0, 2), (-3, 2), (10, 0)])
+def test_evolution_rejects_snapshot_counts_it_cannot_return(steps, n_snapshots):
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    with pytest.raises(ValueError, match="n_snapshots"):
+        N.evolve_nls(st, (0.0, 0.1), steps, n_snapshots=n_snapshots)
+
+
+def test_evolution_returns_every_step_as_a_snapshot():
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    traj = N.evolve_nls(st, (0.0, 0.1), 4, n_snapshots=5)
+    assert len(traj.snapshots) == 5
+    assert np.allclose(traj.times, np.linspace(0.0, 0.1, 5))
 
 
 def test_blowup_detection():
@@ -152,6 +178,23 @@ def test_time_transfer_matches_per_record_reference_on_generic_field():
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 513])
+def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
+    # random entry arrays at half-steps: 2n points on a periodic line, else 2n+1;
+    # odd step counts exercise the fold of the odd last factor in the tree
+    rng = np.random.default_rng(n_steps)
+    npts = 2 * n_steps + (0 if periodic else 1)
+    arrays = {p: rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
+              for p in range(3)}
+    lams = [0.3, -1.1 + 0.2j, 1.7]
+    h = 1.0 / n_steps
+    for lam in lams:
+        got = N._ordered_product(N._step_propagators(arrays, lam, h))
+        want = rk4_transfer_sequential(arrays, lam, h, n_steps)
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
 def test_transfer_rejects_surviving_t_jets():
     D3 = __import__("nlsdual.hierarchy", fromlist=["dual_hierarchy"]).dual_hierarchy(2, 3)
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
@@ -178,3 +221,13 @@ def test_spectral_resample_band_limited():
     for n in (16, 17):
         for factor in (2, 3):
             check(n, factor, lambda x: np.cos((n // 2) * x) + 0.5 * np.exp(2j * x))
+
+
+def test_spectral_derivative_at_the_nyquist_mode():
+    # cos(8x) on 16 points is the Nyquist mode: real on the grid, so its odd
+    # derivatives vanish at every sample and its even ones stay real
+    x = np.linspace(-np.pi, np.pi, 16, endpoint=False)
+    f = np.cos(8 * x)
+    for order in (1, 3):
+        assert np.max(np.abs(N.spectral_derivative(f, np.pi, order))) < 1e-12
+    assert np.max(np.abs(N.spectral_derivative(f, np.pi, 2) + 64 * f)) < 1e-12
