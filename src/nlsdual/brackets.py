@@ -66,6 +66,9 @@ class BracketTable:
                     raise ValueError(f"entries for {(a, b)} and {(b, a)} are not antisymmetric")
             full[(b, a)] = -v
         self.entries = full
+        self.rows: dict[JetVar, dict[JetVar, DiffPoly]] = {}   # rows[a][b] = entries[(a, b)]
+        for (a, b), v in full.items():
+            self.rows.setdefault(a, {})[b] = v
         self.label = label
 
     def entry(self, a: JetVar, b: JetVar) -> DiffPoly:
@@ -89,22 +92,44 @@ class BracketTable:
         return "\n".join(lines)
 
 
+def _gradient(f: DiffPoly, table: BracketTable) -> dict[JetVar, DiffPoly]:
+    """{a: df/da} over the jets a of f, none of them zero; every jet must be
+    a declared coordinate (differentiated coordinates are rejected)."""
+    jets = f.jets()
+    bad = jets.difference(table.coords)
+    if bad:
+        raise ValueError(f"undeclared jets in bracket argument: {sorted(bad, key=JetVar.sort_key)}")
+    return {a: f.diff(a) for a in jets}
+
+
+def _covector(grad: Mapping[JetVar, DiffPoly], table: BracketTable, only=None) -> dict[JetVar, DiffPoly]:
+    """{c: sum_b G_b T[b, c]} for a gradient {b: G_b}, zero components left out,
+    and only for the coordinates c in ``only`` when it is given.
+
+    For the gradient of f this is {f, c} for every coordinate c, so that
+    {f, g} = sum_c cov[c] dg/dc; for an Euler gradient it is the flow.
+    """
+    parts: dict[JetVar, list] = {}
+    for b, g in grad.items():
+        for c, t in table.rows.get(b, {}).items():
+            if only is None or c in only:
+                parts.setdefault(c, []).append(g * t)
+    return {c: s for c, terms in parts.items() if (s := DiffPoly.sum(terms))}
+
+
+def _contract(cov: Mapping[JetVar, DiffPoly], grad: Mapping[JetVar, DiffPoly]) -> DiffPoly:
+    """sum_c cov[c] G_c: the bracket of the covector's function with the gradient's."""
+    return DiffPoly.sum(cov[c] * g for c, g in grad.items() if c in cov)
+
+
 def leibniz_bracket(f: DiffPoly, g: DiffPoly, table: BracketTable) -> DiffPoly:
     """Bilinear Leibniz extension of the table; strictly ultralocal.
 
     Both arguments must be polynomials in the declared coordinates alone;
     differentiated coordinates are rejected.
     """
-    cset = set(table.coords)
-    f_jets, g_jets = f.jets(), g.jets()
-    bad = (f_jets | g_jets) - cset
-    if bad:
-        raise ValueError(f"undeclared jets in bracket argument: {sorted(bad, key=JetVar.sort_key)}")
-    # one partial derivative per jet present; none of them is zero
-    df = {a: f.diff(a) for a in f_jets}
-    dg = {b: g.diff(b) for b in g_jets}
-    return DiffPoly.sum(df[a] * dg[b] * t for (a, b), t in table.entries.items()
-                        if a in df and b in dg)
+    df, dg = _gradient(f, table), _gradient(g, table)
+    return _contract(_covector(df, table, only=dg), dg)
 
 
 def jacobi_defect(table: BracketTable, a: JetVar, b: JetVar, c: JetVar) -> DiffPoly:
@@ -122,27 +147,17 @@ def hamiltonian_flows(h: DiffPoly, table: BracketTable, w) -> dict[JetVar, DiffP
     ``w`` is the variable the bracket is ultralocal in; h may contain
     w-prolongations of the coordinates (and nothing else).
     """
-    return _flows(h, table, w, table.coords)
+    flows = _flows(h, table, w)
+    return {c: flows.get(c, _Z) for c in table.coords}
 
 
-def _flows(h: DiffPoly, table: BracketTable, w, targets) -> dict[JetVar, DiffPoly]:
-    """{integral of h, c} for the coordinates c in ``targets``."""
+def _flows(h: DiffPoly, table: BracketTable, w) -> dict[JetVar, DiffPoly]:
+    """The nonzero flows {integral of h, c}: the covector of h's Euler gradient."""
     for v in h.jets():
         if _strip_prolongation(v, table.coords, w) is None:
             raise ValueError(f"density contains undeclared jet {v}")
-    euler: dict[JetVar, DiffPoly] = {}    # each coordinate's Euler derivative, once
-    flows = {}
-    for c in targets:
-        terms = []
-        for b in table.coords:
-            t = table.entry(b, c)
-            if t.is_zero():
-                continue
-            if b not in euler:
-                euler[b] = h.euler_along(b, w)
-            terms.append(euler[b] * t)
-        flows[c] = DiffPoly.sum(terms)
-    return flows
+    euler = {b: e for b in table.coords if (e := h.euler_along(b, w))}
+    return _covector(euler, table)
 
 
 def _strip_prolongation(v: JetVar, coords: Sequence[JetVar], w):
@@ -156,15 +171,20 @@ def _strip_prolongation(v: JetVar, coords: Sequence[JetVar], w):
 def integral_bracket(h: DiffPoly, g: DiffPoly, table: BracketTable, w) -> DiffPoly:
     """{integral of h, g} for a local polynomial g in the coordinates and
     their w-prolongations."""
+    return _bracket_by_flows(_flows(h, table, w), g, table.coords, w)
+
+
+def _bracket_by_flows(flows: Mapping[JetVar, DiffPoly], g: DiffPoly, coords, w) -> DiffPoly:
+    """{integral of h, g} from the flows of h, so that several g can share them."""
     # (v, c, k) for every jet v of g that is a coordinate c prolonged k times
     parts = []
     for v in g.jets():
-        found = [(v, c, k) for c in table.coords if (k := v.prolongation_depth(c, w)) is not None]
+        found = [(v, c, k) for c in coords if (k := v.prolongation_depth(c, w)) is not None]
         if not found:
             raise ValueError(f"undeclared jet {v} in bracket argument")
-        parts += found
+        parts += [p for p in found if p[1] in flows]
     # d_w^k of each flow, built up once per coordinate
-    lifted = {c: [fl] for c, fl in _flows(h, table, w, {c for _, c, _ in parts}).items()}
+    lifted = {c: [flows[c]] for _, c, _ in parts}
     for _, c, k in parts:
         while len(lifted[c]) <= k:
             lifted[c].append(lifted[c][-1].d_along(w))
@@ -177,25 +197,31 @@ def integral_bracket(h: DiffPoly, g: DiffPoly, table: BracketTable, w) -> DiffPo
 
 
 def matrix_bracket(A: LaxMatrix, B: LaxMatrix, table: BracketTable) -> TensorMatrix:
-    """{A_1(lambda), B_2(mu)} entrywise, as a (lambda, mu)-bigraded 4x4."""
-    acc: dict[tuple[int, int], list] = {}
-    for pa, ea in A.coeffs.items():
-        for pb, eb in B.coeffs.items():
-            cur = acc.setdefault((pa, pb), [_Z] * 16)
-            for i in range(2):
-                for j in range(2):
-                    x = ea[2 * i + j]
-                    if x.is_zero():
-                        continue
-                    for k in range(2):
-                        for l in range(2):
-                            y = eb[2 * k + l]
-                            if y.is_zero():
-                                continue
-                            v = leibniz_bracket(x, y, table)
-                            if not v.is_zero():
-                                idx = 4 * (2 * i + k) + (2 * j + l)
-                                cur[idx] = cur[idx] + v
+    """{A_1(lambda), B_2(mu)} entrywise, as a (lambda, mu)-bigraded 4x4.
+
+    Block (pa, pb) holds {A[pa][ij], B[pb][kl]} at row 2i+k, column 2j+l.
+    Each entry of A is contracted with the table once and each entry of B
+    differentiated once.  For B is A the bracket is antisymmetric, so each
+    unordered pair of entries is bracketed once and block (pb, pa) at
+    (kl, ij) gets the negative of block (pa, pb) at (ij, kl).
+    """
+    xs = [(pa, ij, x) for pa, ea in A.coeffs.items() for ij, x in enumerate(ea) if x]
+    ys = xs if B is A else [(pb, kl, y) for pb, eb in B.coeffs.items() for kl, y in enumerate(eb) if y]
+    covs = [_covector(_gradient(x, table), table) for _, _, x in xs]
+    grads = [_gradient(y, table) for _, _, y in ys]
+    acc = {(pa, pb): [_Z] * 16 for pa in A.coeffs for pb in B.coeffs}
+
+    def put(pa, ij, pb, kl, v):
+        acc[(pa, pb)][4 * (2 * (ij // 2) + kl // 2) + 2 * (ij % 2) + kl % 2] = v
+
+    for n, (pa, ij, _) in enumerate(xs):
+        for m in range(n + 1 if B is A else 0, len(ys)):
+            pb, kl, _ = ys[m]
+            v = _contract(covs[n], grads[m])
+            if v:
+                put(pa, ij, pb, kl, v)
+                if B is A:
+                    put(pb, kl, pa, ij, -v)
     return TensorMatrix({k: tuple(v) for k, v in acc.items()})
 
 
@@ -555,11 +581,16 @@ def _legendre(Lwork: DiffPoly, coords: list[JetVar], xi):
             [f"C[{coords[i].field}]" for _, i, _ in keyed])
 
 
-def _constraint_matrix(constraints: list[DiffPoly], canonical: BracketTable):
-    """Stage 2: M[a][b] = {C_a, C_b}, which must be constant, and its inverse."""
+def _constraint_matrix(constraints: list[DiffPoly], covs, canonical: BracketTable):
+    """Stage 2: M[a][b] = {C_a, C_b}, which must be constant, and its inverse.
+
+    ``covs[a]`` is the covector of C_a, so {C_a, C_b} is its contraction
+    with the gradient of C_b.
+    """
+    grads = [_gradient(C, canonical) for C in constraints]
     M = []
-    for Ca in constraints:
-        row = [leibniz_bracket(Ca, Cb, canonical).constant_value() for Cb in constraints]
+    for cov in covs:
+        row = [_contract(cov, grad).constant_value() for grad in grads]
         if None in row:
             raise ValueError("field-dependent constraint matrix is not supported")
         M.append(row)
@@ -602,16 +633,17 @@ def _elimination_map(constraints: list[DiffPoly]) -> dict[JetVar, DiffPoly]:
     raise ValueError("elimination map does not close (cyclic eliminations)")
 
 
-def _dirac_tables(phase: list[JetVar], constraints: list[DiffPoly], canonical: BracketTable,
+def _dirac_tables(phase: list[JetVar], covs, canonical: BracketTable,
                   Minv, elim: Mapping[JetVar, DiffPoly], label: str):
     """Stage 4: the Dirac table on the full phase space and on the reduced one.
 
     {v, u}_D = {v, u} - sum_ab {v, C_a} Minv[a][b] {C_b, u}.  Each
-    K[v][a] = {v, C_a} is computed once, and {C_b, u} = -K[u][b].  The
-    reduced table takes the full table's entries for the pairs of coordinates
-    that are not eliminated and substitutes the eliminations into them.
+    K[v][a] = {v, C_a} = -covs[a][v] is read off the covector of C_a, and
+    {C_b, u} = -K[u][b].  The reduced table takes the full table's entries
+    for the pairs of coordinates that are not eliminated and substitutes the
+    eliminations into them.
     """
-    K = {v: [leibniz_bracket(DiffPoly.var(v), C, canonical) for C in constraints] for v in phase}
+    K = {v: [-cov.get(v, _Z) for cov in covs] for v in phase}
     minv = [(a, b, c) for a, row in enumerate(Minv) for b, c in enumerate(row) if c]
     full = {}
     for i, v in enumerate(phase):
@@ -631,7 +663,8 @@ def _multipliers(Hred: DiffPoly, constraints: list[DiffPoly], canonical: Bracket
                  elim: Mapping[JetVar, DiffPoly], Minv) -> list[DiffPoly]:
     """Stage 5: the alpha_k fixed by {H*, C_j} + sum_k alpha_k {C_k, C_j} = 0,
     that is alpha = -(M^-1)^T {H*, C}."""
-    hc = [integral_bracket(Hred, C, canonical, w)._replace_jets(elim) for C in constraints]
+    flows = _flows(Hred, canonical, w)
+    hc = [_bracket_by_flows(flows, C, canonical.coords, w)._replace_jets(elim) for C in constraints]
     m = len(constraints)
     return [-DiffPoly.sum(hc[j].scale(Minv[j][k]) for j in range(m) if Minv[j][k])
             for k in range(m)]
@@ -675,17 +708,21 @@ def _space_jet_translation(Hred: DiffPoly, reduced: BracketTable, level: int, w)
 
     The k-th x-jet of a base field is its k-th Dirac-Hamilton x-flow.
     """
+    flows = _flows(Hred, reduced, w)
     jet_map = {}
     for fld, psi_name in zip(_BASE_FIELDS, ("psi", "psibar")):
         cur = DiffPoly.var(JetVar(fld, 0))
         jet_map[JetVar(psi_name, 0)] = cur
         for k in range(1, level):
-            cur = integral_bracket(Hred, cur, reduced, w)
+            cur = _bracket_by_flows(flows, cur, reduced.coords, w)
             jet_map[JetVar(psi_name, k)] = cur
     jets = sorted(jet_map, key=lambda v: (v.dx, v.sort_key()))
     rules = _invert_jet_map(jet_map, jets, reduced.coords, w)
-    entries = {(ja, jb): leibniz_bracket(jet_map[ja], jet_map[jb], reduced).substitute(rules)
-               for a, ja in enumerate(jets) for jb in jets[a + 1:]}
+    # one covector and one gradient per jet, contracted for each pair
+    covs = [_covector(_gradient(jet_map[j], reduced), reduced) for j in jets[:-1]]
+    grads = [_gradient(jet_map[j], reduced) for j in jets]
+    entries = {(ja, jb): _contract(covs[a], grads[b]).substitute(rules)
+               for a, ja in enumerate(jets) for b, jb in enumerate(jets) if b > a}
     return BracketTable(jets, entries, label=f"T{level}"), Hred.substitute(rules)
 
 
@@ -717,9 +754,10 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     phase = coords + momenta
     canonical = BracketTable(phase, {(p, c): DiffPoly.const(1) for c, p in zip(coords, momenta)},
                              label="canonical")
-    M, Minv = _constraint_matrix(constraints, canonical)
+    covs = [_covector(_gradient(C, canonical), canonical) for C in constraints]
+    M, Minv = _constraint_matrix(constraints, covs, canonical)
     elim = _elimination_map(constraints)
-    dirac_full, reduced = _dirac_tables(phase, constraints, canonical, Minv, elim, direction)
+    dirac_full, reduced = _dirac_tables(phase, covs, canonical, Minv, elim, direction)
     Hred = Hc._replace_jets(elim)
     alphas = _multipliers(Hred, constraints, canonical, w, elim, Minv)
     cs = ConstraintSystem(
@@ -748,31 +786,22 @@ def hamilton_check(result: LegendreResult, rules: Mapping[JetVar, DiffPoly]) -> 
     evolution rule; for the space direction the flow of every jet coordinate,
     with the evolution rules substituted, must equal its next x-jet.
     """
-    checks = []
-    h = result.hamiltonian_density
     table = result.table
-    if result.direction == "x":
-        w = ("t", result.level)
-        for c in table.coords:
-            flow = integral_bracket(h, DiffPoly.var(c), table, w)
-            expected = DiffPoly.var(c.prolong_x())
-            got = flow.substitute(rules)
-            checks.append({
-                "coordinate": repr(c),
-                "status": "pass" if (got - expected.substitute(rules)).is_zero() else "fail",
-                "flow": repr(flow),
-            })
-    else:
-        w = "x"
-        for c in table.coords:
-            flow = integral_bracket(h, DiffPoly.var(c), table, w)
-            key = c.prolong_t(result.level)
-            expected = rules.get(key)
+    space = result.direction == "x"
+    w = ("t", result.level) if space else "x"
+    flows = _flows(result.hamiltonian_density, table, w)
+    checks = []
+    for c in table.coords:
+        flow = _bracket_by_flows(flows, DiffPoly.var(c), table.coords, w)
+        if space:
+            ok = (flow.substitute(rules) - DiffPoly.var(c.prolong_x()).substitute(rules)).is_zero()
+        else:
+            expected = rules.get(c.prolong_t(result.level))
             ok = expected is not None and (flow - expected).is_zero()
-            checks.append({
-                "coordinate": repr(c),
-                "status": "pass" if ok else "fail",
-                "flow": repr(flow),
-            })
+        checks.append({
+            "coordinate": repr(c),
+            "status": "pass" if ok else "fail",
+            "flow": repr(flow),
+        })
     status = "pass" if all(c["status"] == "pass" for c in checks) else "fail"
     return {"identity": "hamilton equations", "status": status, "checks": checks}

@@ -301,10 +301,6 @@ def _entry_latex(poly_by_pow: Mapping[int, DiffPoly]) -> str:
 Entry4 = tuple  # 16 DiffPoly, row major
 
 
-def _zeros4() -> Entry4:
-    return tuple(_Z for _ in range(16))
-
-
 @dataclass(frozen=True)
 class TensorMatrix:
     """4x4 matrix over DiffPoly, bigraded in (lambda-power, mu-power)."""

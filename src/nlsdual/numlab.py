@@ -320,6 +320,8 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
 
     Any t-jets in M must be eliminated via ``rules`` (symbolic substitution).
     """
+    if len(lam_values) == 0:
+        raise ValueError("lam_values is empty; give at least one spectral parameter")
     Msub = M.substitute(rules) if rules else M
     jets = Msub.jets()
     if any(v.dt for v in jets):

@@ -192,6 +192,30 @@ def leibniz_bracket_per_entry(f: DiffPoly, g: DiffPoly, table) -> DiffPoly:
     return out
 
 
+def matrix_bracket_per_pair(A, B, table):
+    """{A_1(lambda), B_2(mu)} with one per-entry Leibniz bracket for every
+    pair of nonzero entries, both of them differentiated afresh each time."""
+    from nlsdual.laxalg import TensorMatrix
+    Z = DiffPoly.zero()
+    acc: dict[tuple[int, int], list] = {}
+    for pa, ea in A.coeffs.items():
+        for pb, eb in B.coeffs.items():
+            cur = acc.setdefault((pa, pb), [Z] * 16)
+            for i in range(2):
+                for j in range(2):
+                    x = ea[2 * i + j]
+                    if x.is_zero():
+                        continue
+                    for k in range(2):
+                        for l in range(2):
+                            y = eb[2 * k + l]
+                            if y.is_zero():
+                                continue
+                            idx = 4 * (2 * i + k) + (2 * j + l)
+                            cur[idx] = cur[idx] + leibniz_bracket_per_entry(x, y, table)
+    return TensorMatrix({k: tuple(v) for k, v in acc.items()})
+
+
 def transfer_along_t_per_record(M, traj, lam_values, station: int) -> list:
     """t-direction transfer matrices of M at grid index ``station``, taking
     one FFT of every recorded step and building the 2x2 matrix afresh at

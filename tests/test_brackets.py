@@ -10,7 +10,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
-from nlsdual.laxalg import LaxMatrix
+from nlsdual.laxalg import LaxMatrix, lax_from_entries
 from nlsdual import brackets as B
 from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_normal_form,
                               dirac_pipeline, full_euler, hamilton_check, hamiltonian_flows,
@@ -18,7 +18,7 @@ from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_norm
                               matrix_bracket, ostrogradski_reduce, verify_rmatrix)
 from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, generate_partner
 from helpers import (pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density, x_block,
-                     leibniz_bracket_per_entry)
+                     leibniz_bracket_per_entry, matrix_bracket_per_pair)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -218,6 +218,36 @@ def test_matrix_bracket_against_sympy_oracle():
             got = orc.to_sympy(e[idx]) * orc.lam**lp * orc.mu**mp
             want = sp.expand(lhs[idx // 4, idx % 4]).coeff(orc.lam, lp).coeff(orc.mu, mp) * orc.lam**lp * orc.mu**mp
             assert sp.simplify(got - want) == 0
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+def test_matrix_bracket_matches_per_pair_reference(level):
+    T = _table_T_once(level)
+    Vn = generate_partner(U, 1, level)
+    same = matrix_bracket(Vn, Vn, T)                    # B is A: the antisymmetric path
+    assert same == matrix_bracket_per_pair(Vn, Vn, T)
+    assert same == matrix_bracket(Vn, LaxMatrix(dict(Vn.coeffs)), T)   # equal, not identical
+    assert matrix_bracket(U, Vn, T) == matrix_bracket_per_pair(U, Vn, T)
+
+
+def _random_lax(rng, coords):
+    Z = DiffPoly.zero()
+    powers = rng.sample(range(-1, 4), rng.randint(1, 3))
+    return lax_from_entries({p: tuple(random_poly(rng, coords, n_terms=2, max_deg=2)
+                                      if rng.random() < 0.7 else Z for _ in range(4))
+                             for p in powers})
+
+
+@pytest.mark.parametrize("level", [3, 4, 5, 6])
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_matrix_bracket_matches_per_pair_reference_on_random_matrices(level, seed):
+    T = _table_T_once(level)
+    rng = random.Random(seed)
+    A = _random_lax(rng, list(T.coords))
+    B = _random_lax(rng, list(T.coords))
+    assert matrix_bracket(A, A, T) == matrix_bracket_per_pair(A, A, T)
+    assert matrix_bracket(A, B, T) == matrix_bracket_per_pair(A, B, T)
 
 
 def test_rmatrix_v2_under_t3_closure_error():

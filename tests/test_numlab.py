@@ -195,6 +195,16 @@ def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+@pytest.mark.parametrize("direction", ["along_x", "along_t"])
+def test_transfer_rejects_empty_lam_values(direction):
+    # rejected up front, before the data is sampled or even checked
+    st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
+    data = st if direction == "along_x" else N.evolve_nls(st, (0.0, 0.001), 4, n_snapshots=2)
+    for lams in ([], np.array([], dtype=complex)):
+        with pytest.raises(ValueError, match="lam_values"):
+            N.transfer_matrix(U, data, lams, direction)
+
+
 def test_transfer_rejects_surviving_t_jets():
     D3 = __import__("nlsdual.hierarchy", fromlist=["dual_hierarchy"]).dual_hierarchy(2, 3)
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
