@@ -12,9 +12,7 @@ import json
 import os
 import sys
 
-import numpy as np
-
-from . import hierarchy, brackets, numlab
+from . import hierarchy, brackets
 
 REPORT_VERSION = 1
 
@@ -148,6 +146,11 @@ def cmd_dirac(args) -> int:
 
 
 def cmd_sim(args) -> int:
+    # The only numerical command: numpy and numlab are imported here, so the
+    # exact commands start without them.
+    import numpy as np
+    from . import numlab
+
     rng = np.random.default_rng(args.seed)
     n, L = args.grid, np.pi
     kappa = args.kappa
@@ -285,7 +288,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, FloatingPointError, ArithmeticError) as exc:
+    except (ValueError, FloatingPointError, ArithmeticError, OSError) as exc:
         err = {"report_version": REPORT_VERSION, "command": args.command,
                "status": "error", "error": str(exc)}
         print(json.dumps(err, indent=2))

@@ -100,6 +100,9 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
     ad(sigma_3) is inverted in closed form on off-diagonal matrices.
     """
     N = X.degree()
+    if N < 1:
+        # at N = 0 order n reads [c sigma_3, W^(n)] = d_xi W^(n) + ...: no recursion
+        raise ValueError(f"solve_W needs a matrix of lambda-degree >= 1, got degree {N}")
     c_lead = _leading_sigma3_scale(X)
     inv2c = (c_lead * Coeff.make(2)).inverse()
     Xd = {j: X.diag_part().lam_coeff(j) for j in range(N + 1)}
@@ -213,6 +216,8 @@ def conserved_density(X: LaxMatrix, n: int, W: WSeries | None = None) -> DiffPol
 def density_ladder(X: LaxMatrix, count: int) -> list[DiffPoly]:
     """Densities h^(1)..h^(count); h^(n) is homogeneous of dimension n+1 for
     the x-translation-based ladder."""
+    if count < 1:
+        raise ValueError(f"density count must be >= 1, got {count}")
     W = solve_W(X, X.degree() + count)
     return [conserved_density(X, n, W) for n in range(1, count + 1)]
 

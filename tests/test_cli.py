@@ -1,10 +1,16 @@
 """End-to-end exercise of every CLI subcommand through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from nlsdual.cli import main
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run(capsys, *argv):
@@ -104,3 +110,70 @@ def test_error_reports_nonzero_exit(capsys):
     out = capsys.readouterr().out
     assert code == 2
     assert json.loads(out)["status"] == "error"
+
+
+@pytest.mark.parametrize("argv, fragment", [
+    (["gen-dual", "--base", "0", "--level", "1"], "degree 0"),
+    (["charges", "--count", "0"], "got 0"),
+    (["charges", "--count", "-2"], "got -2"),
+], ids=["dual-base-0", "count-0", "count-minus-2"])
+def test_invalid_input_reports_error(capsys, argv, fragment):
+    code = main(argv)
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "error" and fragment in rep["error"]
+
+
+def test_out_into_missing_directory_reports_error(tmp_path, capsys):
+    out = tmp_path / "missing" / "r.json"
+    code = main(["gen-v", "--level", "1", "--out", str(out)])
+    rep = json.loads(capsys.readouterr().out)
+    assert code == 2
+    assert rep["status"] == "error" and "missing" in rep["error"]
+    assert not out.exists()
+
+
+# The exact commands of the benchmark's cli-reports workload, with its argv.
+_EXACT_RUNS = [
+    ["gen-v", "--level", "4", "--format", "json"],
+    ["gen-dual", "--base", "2", "--level", "3", "--on-shell", "--format", "json"],
+    ["charges", "--count", "5", "--format", "json"],
+    ["verify-zc", "--level", "3"],
+    ["verify-rmatrix", "--matrix", "v3"],
+    ["dirac", "--lagrangian", "l3", "--direction", "time"],
+    ["dirac", "--lagrangian", "l3", "--direction", "space"],
+]
+
+_WITHOUT_NUMPY = """
+import contextlib, io, json, sys
+sys.modules["numpy"] = None      # every numpy import now raises ImportError
+from nlsdual.cli import main
+for argv in json.loads(sys.argv[1]):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(argv)
+    print(json.dumps([argv, code, json.loads(buf.getvalue())["status"]]))
+"""
+
+
+def _python(*args):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    env.pop("NLSDUAL_OUTDIR", None)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
+                          timeout=120)
+
+
+def test_exact_commands_run_without_numpy():
+    proc = _python("-c", _WITHOUT_NUMPY, json.dumps(_EXACT_RUNS))
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    assert results == [[argv, 0, "pass"] for argv in _EXACT_RUNS]
+
+
+def test_numlab_is_loaded_on_first_access():
+    proc = _python("-c", "import sys, nlsdual\n"
+                         "assert 'numpy' not in sys.modules\n"
+                         "assert not hasattr(nlsdual, 'no_such_module')\n"
+                         "print(nlsdual.numlab.__name__, 'numpy' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["nlsdual.numlab", "True"]

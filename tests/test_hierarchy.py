@@ -69,6 +69,14 @@ def test_solve_w_requires_sigma3_leading():
         solve_W(bad, 2)
 
 
+def test_solve_w_rejects_degree_zero():
+    # at degree 0 the order-n equation involves W^(n) itself
+    V0 = generate_partner(U, 1, 0)
+    assert V0.degree() == 0
+    with pytest.raises(ValueError, match="degree 0"):
+        solve_W(V0, 1)
+
+
 def test_riccati_residual_vanishes_and_detects_corruption():
     for X, K in ((U, 6), (generate_partner(U, 1, 2), 6)):
         W = solve_W(X, K)
@@ -92,6 +100,13 @@ def test_densities_real_and_graded():
     for n, d in enumerate(lad, start=1):
         assert d.conjugate() == d
         assert d.scaling_dimension() == n + 1
+
+
+@pytest.mark.parametrize("count", [0, -2])
+def test_density_ladder_rejects_count_below_one(count):
+    # an empty ladder would pass every check without checking anything
+    with pytest.raises(ValueError, match=f"got {count}"):
+        density_ladder(U, count)
 
 
 def test_density_one_is_mass():
