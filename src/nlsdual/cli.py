@@ -156,6 +156,9 @@ def cmd_sim(args) -> int:
     kappa = args.kappa
     x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
+        if kappa <= 0:
+            # the amplitude^2 (2 pi - k^2) / (2 kappa) would be negative or infinite
+            raise ValueError(f"the plane-wave case needs --kappa > 0 (defocusing), got {kappa}")
         mode = 2
         k = mode * np.pi / L
         amp = float(np.sqrt((2 * np.pi - k * k) / (2 * kappa)))

@@ -7,6 +7,12 @@ densities on grids, and integrates the auxiliary linear problem across a
 periodic cell in either the x- or the t-direction to produce transfer
 (monodromy) matrices whose traces are the conserved generating objects.
 
+The RK4 stepper allocates nothing per step: its stage buffers are made once,
+every FFT and ufunc writes into them with ``out=`` in the order of the plain
+expression (so trajectories are bit for bit those of the allocating form),
+each step lands directly in its row of the recorded fields, and a single
+reduction, sum |psi|^2, catches NaN, inf and norm blowup.
+
 Both directions sample psi and its x-derivatives along the integration
 line (a supersampled snapshot, or one station for every recorded step);
 one jet evaluator maps them onto psi/psibar jets.  The ODE is linear, so
@@ -41,6 +47,10 @@ class GridState:
         self.samples = np.asarray(self.samples, dtype=complex)
         if self.samples.ndim != 1 or self.samples.size < 16:
             raise ValueError("need a 1-d grid with at least 16 samples")
+        # count_nonzero, not .all(): a process's first ufunc reduction sets
+        # up about 0.2 MB of state, which construction need not pay for
+        if np.count_nonzero(np.isfinite(self.samples)) != self.samples.size:
+            raise ValueError("samples must be finite; got NaN or inf")
 
     @property
     def n(self) -> int:
@@ -65,6 +75,8 @@ def spectral_derivative(samples: np.ndarray, half_length: float, order: int = 1)
     For odd orders on an even grid the Nyquist coefficient is zeroed: odd
     derivatives of that mode vanish at every sample (d/dx cos(8x) is 0 on
     16 points), while (ik)^order would give it an imaginary value."""
+    if order < 0:
+        raise ValueError(f"derivative order must be >= 0, got order={order}")
     n = samples.size
     mult = (1j * _wavenumbers(n, half_length)) ** order
     if order % 2 and n % 2 == 0:
@@ -74,6 +86,8 @@ def spectral_derivative(samples: np.ndarray, half_length: float, order: int = 1)
 
 def spectral_resample(samples: np.ndarray, factor: int) -> np.ndarray:
     """Band-limited upsampling by an integer factor via zero-padded FFT."""
+    if not isinstance(factor, (int, np.integer)) or factor < 1:
+        raise ValueError(f"resampling factor must be an integer >= 1, got factor={factor!r}")
     n = samples.size
     coeffs = np.fft.fft(samples)
     big = np.zeros(n * factor, dtype=complex)
@@ -109,47 +123,82 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
                n_snapshots: int = 5, record_fine: bool = False) -> Trajectory:
     """RK4 time stepping of i psi_t = -psi_xx + 2 kappa |psi|^2 psi.
 
-    Spectral x-derivatives; aborts on norm blowup (step-size instability).
-    Returns exactly ``n_snapshots`` snapshots, evenly spaced in steps.
+    Spectral x-derivatives.  The step loop allocates nothing: the spectrum,
+    |psi|^2, the nonlinear term, the four stages and the stage argument live
+    in buffers made once, and every FFT and ufunc writes into one of them
+    with ``out=``, in the order of operations of the plain expression, so
+    each step is bit for bit what ``psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)``
+    gives.  Step s is written straight into row s of ``fine_fields`` (or
+    into one of two alternating rows when the run is not recorded).  One
+    reduction per step, |psi|^2 summed, aborts on norm blowup (step-size
+    instability), NaN or inf.  Returns exactly ``n_snapshots`` snapshots,
+    evenly spaced in steps.
     """
     if steps < 1 or not 1 <= n_snapshots <= steps + 1:
         raise ValueError(f"need steps >= 1 and 1 <= n_snapshots <= steps + 1, "
                          f"got steps={steps}, n_snapshots={n_snapshots}")
     t0, t1 = t_span
     dt = (t1 - t0) / steps
-    psi = initial.samples.copy()
-    L, kap = initial.half_length, initial.kappa
-    lap = (1j * _wavenumbers(psi.size, L)) ** 2
+    half, sixth = 0.5 * dt, dt / 6.0
+    n, L, kap = initial.n, initial.half_length, initial.kappa
+    lap = (1j * _wavenumbers(n, L)) ** 2
+    nonlin_coeff = 2j * kap
+    # the blowup test is `not sum |psi|^2 <= lim2`, so a NaN sum fails it too
+    lim2 = (1e6 * (np.linalg.norm(initial.samples) + 1)) ** 2
 
-    def rhs(u):
-        return 1j * np.fft.ifft(lap * np.fft.fft(u)) - 2j * kap * np.abs(u) ** 2 * u
+    spec, nonlin, stage, k1, k2, k3, k4 = (np.empty(n, dtype=complex) for _ in range(7))
+    mod2 = np.empty(n)
 
-    norm0 = np.linalg.norm(psi)
+    def rhs(u, out):
+        """out = 1j ifft(lap fft(u)) - 2j kappa |u|^2 u, one operation at a time."""
+        np.fft.fft(u, out=spec)
+        np.multiply(lap, spec, out=spec)
+        np.fft.ifft(spec, out=out)
+        np.multiply(1j, out, out=out)
+        np.abs(u, out=mod2)
+        np.square(mod2, out=mod2)
+        np.multiply(nonlin_coeff, mod2, out=nonlin)
+        np.multiply(nonlin, u, out=nonlin)
+        np.subtract(out, nonlin, out=out)
+
+    # step s goes to rows[s % len(rows)]: every step when recorded, else
+    # alternately the two rows
+    rows = np.empty((steps + 1 if record_fine else 2, n), dtype=complex)
+    psi = rows[0]
+    psi[:] = initial.samples
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
     times, snaps = [], []
-    if record_fine:
-        fine = np.empty((steps + 1, psi.size), dtype=complex)
-        fine[0] = psi
     if 0 in snap_at:
         times.append(t0)
         snaps.append(psi.copy())
     for s in range(1, steps + 1):
-        k1 = rhs(psi)
-        k2 = rhs(psi + 0.5 * dt * k1)
-        k3 = rhs(psi + 0.5 * dt * k2)
-        k4 = rhs(psi + dt * k3)
-        psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        if not np.isfinite(psi).all() or np.linalg.norm(psi) > 1e6 * (norm0 + 1):
+        rhs(psi, k1)
+        np.multiply(half, k1, out=stage)
+        np.add(psi, stage, out=stage)
+        rhs(stage, k2)
+        np.multiply(half, k2, out=stage)
+        np.add(psi, stage, out=stage)
+        rhs(stage, k3)
+        np.multiply(dt, k3, out=stage)
+        np.add(psi, stage, out=stage)
+        rhs(stage, k4)
+        # k1 accumulates k1 + 2 k2 + 2 k3 + k4, then its dt/6 multiple
+        np.multiply(2, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.multiply(2, k3, out=k3)
+        np.add(k1, k3, out=k1)
+        np.add(k1, k4, out=k1)
+        np.multiply(sixth, k1, out=k1)
+        psi = np.add(psi, k1, out=rows[s % len(rows)])
+        if not np.vdot(psi, psi).real <= lim2:
             raise FloatingPointError(f"norm blowup at step {s}: reduce the time step")
-        if record_fine:
-            fine[s] = psi
         if s in snap_at:
             times.append(t0 + s * dt)
             snaps.append(psi.copy())
     traj = Trajectory(np.array(times), snaps, L, kap)
     if record_fine:
         traj.fine_times = t0 + dt * np.arange(steps + 1)
-        traj.fine_fields = fine
+        traj.fine_fields = rows
     return traj
 
 
@@ -350,6 +399,8 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     mats = [_ordered_product(_step_propagators(arrays, lam, h)) for lam in lam_values]
     sample = MonodromySample(list(lam_values), mats, direction)
     bad = sample.det_errors().max()
+    if not np.isfinite(bad):            # a NaN would pass `bad > det_tol`
+        raise ValueError(f"transfer matrix is not finite (determinant error {bad})")
     if bad > det_tol:
         raise ValueError(f"transfer matrix determinant deviates from 1 by {bad:.2e}")
     return sample

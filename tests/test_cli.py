@@ -96,6 +96,15 @@ def test_sim_monodromy_small(capsys):
     assert all(r and abs(r - 16) < 4 for r in ratios)
 
 
+@pytest.mark.parametrize("kappa", ["-1", "0"])
+def test_sim_plane_wave_rejects_non_positive_kappa(capsys, kappa):
+    # the plane wave's amplitude^2 (2 pi - k^2) / (2 kappa) needs kappa > 0
+    code, rep = run(capsys, "sim", "--case", "planewave", "--kappa", kappa,
+                    "--grid", "32", "--steps", "10")
+    assert code == 2
+    assert rep["status"] == "error" and "--kappa" in rep["error"]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["gen-v", "--level", "1", "--out", str(out)])

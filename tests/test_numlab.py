@@ -24,6 +24,14 @@ def test_grid_state_validation():
         N.GridState(np.zeros(4), 1.0, 1.0)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, -np.inf)])
+def test_grid_state_rejects_non_finite_samples(bad):
+    samples = np.ones(32, dtype=complex)
+    samples[7] = bad
+    with pytest.raises(ValueError, match="finite"):
+        N.GridState(samples, np.pi, 1.0)
+
+
 def test_plane_wave_evolution_matches_dispersion():
     # omega = k^2 + 2 kappa A^2, matched pointwise
     st = N.plane_wave(64, np.pi, 1.0, 0.75, 1)
@@ -57,6 +65,39 @@ def test_evolution_is_bitwise_the_per_stage_reference():
         assert np.array_equal(snap, traj.fine_fields[row])
 
 
+def _workload_plane_wave() -> N.GridState:
+    """The benchmark's 256-point mode-2 plane wave, whose time period is 1."""
+    k = 2.0
+    return N.plane_wave(256, np.pi, 1.0, float(np.sqrt((2 * np.pi - k * k) / 2.0)), 2)
+
+
+@pytest.mark.parametrize("make, span, steps", [
+    (lambda: _generic_field(33), (0.0, 0.1), 300),
+    (lambda: N.GridState(_generic_field(64).samples, np.pi, -1.0), (0.0, 0.1), 300),
+    (_workload_plane_wave, (0.0, 200 / 8000), 200),
+], ids=["odd-grid-33", "kappa-minus-1", "workload-plane-wave-256"])
+def test_evolution_is_bitwise_the_per_stage_reference_across_cases(make, span, steps):
+    st = make()
+    traj = N.evolve_nls(st, span, steps, n_snapshots=3, record_fine=True)
+    assert np.array_equal(traj.fine_fields, evolve_nls_per_stage(st, span, steps))
+
+
+def test_unrecorded_evolution_snapshots_are_bitwise_the_per_stage_reference():
+    st = _generic_field(64)
+    steps, span = 301, (0.0, 0.1)
+    traj = N.evolve_nls(st, span, steps, n_snapshots=5, record_fine=False)
+    assert traj.fine_fields is None and traj.fine_times is None
+    ref = evolve_nls_per_stage(st, span, steps)
+    rows = [round(i * steps / 4) for i in range(5)]
+    dt = (span[1] - span[0]) / steps
+    assert np.array_equal(traj.times, [span[0] + r * dt for r in rows])
+    assert len(traj.snapshots) == 5
+    # the stepper reuses two rows, so a snapshot that was a view of one
+    # would be overwritten by later steps
+    for row, snap in zip(rows, traj.snapshots):
+        assert np.array_equal(snap, ref[row])
+
+
 @pytest.mark.parametrize("steps, n_snapshots", [(2, 5), (0, 1), (0, 2), (-3, 2), (10, 0)])
 def test_evolution_rejects_snapshot_counts_it_cannot_return(steps, n_snapshots):
     st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
@@ -75,6 +116,16 @@ def test_blowup_detection():
     st = N.plane_wave(64, np.pi, 1.0, 2.0, 1)
     with pytest.raises(FloatingPointError):
         N.evolve_nls(st, (0.0, 1.0), 3, n_snapshots=2)  # absurd step size
+
+
+def test_blowup_detected_at_the_step_it_happens():
+    # the step is unstable but not absurd: steps 1-5 stay finite and below
+    # 1e6 (|psi_0| + 1), step 6 passes that limit
+    st = N.plane_wave(64, np.pi, 1.0, 1.5, 1)
+    with pytest.raises(FloatingPointError, match="at step 6:"):
+        N.evolve_nls(st, (0.0, 1.0), 60, n_snapshots=2)
+    traj = N.evolve_nls(st, (0.0, 5 / 60), 5, n_snapshots=2)
+    assert np.isfinite(traj.snapshots[-1]).all()
 
 
 def test_mass_charge_on_plane_wave_exact():
@@ -205,6 +256,22 @@ def test_transfer_rejects_empty_lam_values(direction):
             N.transfer_matrix(U, data, lams, direction)
 
 
+def test_transfer_along_x_rejects_a_non_finite_matrix():
+    # at lam = 1e3 the step propagators overflow: entries -inf+nanj, det NaN
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        N.transfer_matrix(U, st, [1e3], "along_x", det_tol=1e-8)
+
+
+def test_transfer_along_t_rejects_a_non_finite_trajectory():
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    traj = N.evolve_nls(st, (0.0, 0.01), 10, n_snapshots=2, record_fine=True)
+    traj.fine_fields[3, 5] = np.nan
+    V2 = generate_partner(U, +1, 2)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
+        N.transfer_matrix(V2, traj, [0.5], "along_t", station=5)
+
+
 def test_transfer_rejects_surviving_t_jets():
     D3 = __import__("nlsdual.hierarchy", fromlist=["dual_hierarchy"]).dual_hierarchy(2, 3)
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
@@ -241,3 +308,16 @@ def test_spectral_derivative_at_the_nyquist_mode():
     for order in (1, 3):
         assert np.max(np.abs(N.spectral_derivative(f, np.pi, order))) < 1e-12
     assert np.max(np.abs(N.spectral_derivative(f, np.pi, 2) + 64 * f)) < 1e-12
+
+
+def test_spectral_derivative_rejects_a_negative_order():
+    f = np.exp(1j * np.linspace(-np.pi, np.pi, 16, endpoint=False))
+    with pytest.raises(ValueError, match="order"):
+        N.spectral_derivative(f, np.pi, -1)
+
+
+@pytest.mark.parametrize("factor", [0, -2, 1.5, 2.0])
+def test_spectral_resample_rejects_a_factor_that_is_not_a_positive_integer(factor):
+    f = np.exp(1j * np.linspace(-np.pi, np.pi, 16, endpoint=False))
+    with pytest.raises(ValueError, match="factor"):
+        N.spectral_resample(f, factor)
