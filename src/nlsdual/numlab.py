@@ -128,9 +128,9 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
     in buffers made once, and every FFT and ufunc writes into one of them
     with ``out=``, in the order of operations of the plain expression, so
     each step is bit for bit what ``psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)``
-    gives.  Step s is written straight into row s of ``fine_fields`` (or
-    into one of two alternating rows when the run is not recorded).  One
-    reduction per step, |psi|^2 summed, aborts on norm blowup (step-size
+    gives.  Step s is written straight into row s of ``fine_fields`` (or,
+    when the run is not recorded, over one row in place).  One reduction
+    per step, |psi|^2 summed, aborts on norm blowup (step-size
     instability), NaN or inf.  Returns exactly ``n_snapshots`` snapshots,
     evenly spaced in steps.
     """
@@ -161,9 +161,9 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
         np.multiply(nonlin, u, out=nonlin)
         np.subtract(out, nonlin, out=out)
 
-    # step s goes to rows[s % len(rows)]: every step when recorded, else
-    # alternately the two rows
-    rows = np.empty((steps + 1 if record_fine else 2, n), dtype=complex)
+    # step s goes to rows[s % len(rows)]: its own row when recorded, else the
+    # one row, updated in place
+    rows = np.empty((steps + 1 if record_fine else 1, n), dtype=complex)
     psi = rows[0]
     psi[:] = initial.samples
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
