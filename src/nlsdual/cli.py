@@ -153,10 +153,11 @@ def cmd_sim(args) -> int:
 
     rng = np.random.default_rng(args.seed)
     n, L = args.grid, np.pi
-    kappa = args.kappa
+    # default to the case's own sign: the bright soliton is focusing
+    kappa = args.kappa if args.kappa is not None else (-1.0 if args.case == "soliton" else 1.0)
     x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
-        if kappa <= 0:
+        if not kappa > 0:
             # the amplitude^2 (2 pi - k^2) / (2 kappa) would be negative or infinite
             raise ValueError(f"the plane-wave case needs --kappa > 0 (defocusing), got {kappa}")
         mode = 2
@@ -165,8 +166,9 @@ def cmd_sim(args) -> int:
         state = numlab.plane_wave(n, L, kappa, amp, mode)
     elif args.case == "soliton":
         # approximately periodic on a finite box; exploratory only
-        if kappa >= 0:
-            kappa = -1.0
+        if not kappa < 0:
+            # A sech(A x) solves the flow only when focusing
+            raise ValueError(f"the soliton case needs --kappa < 0 (focusing), got {kappa}")
         amp = 2.0
         state = numlab.GridState(amp / np.cosh(amp * x), L, kappa)
     else:
@@ -222,7 +224,7 @@ def cmd_sim(args) -> int:
             ok = ok and drift_v < args.tol
         body["convergence"] = numlab.plane_wave_convergence(base_steps=100)
     rep = _report("sim", {"case": args.case, "check": args.check, "grid": n,
-                          "steps": args.steps, "t_end": args.t_end,
+                          "steps": args.steps, "t_end": args.t_end, "kappa": kappa,
                           "tol": args.tol, "seed": args.seed},
                   "pass" if ok else "fail", body)
     return _emit(rep, args)
@@ -278,7 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--steps", type=int, default=8000)
     sp.add_argument("--t-end", type=float, default=1.0)
-    sp.add_argument("--kappa", type=float, default=1.0)
+    sp.add_argument("--kappa", type=float, default=None,
+                    help="sign and size of the nonlinearity; default -1 for the soliton, else 1")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", default=None, help="write the charge time series as CSV")

@@ -8,10 +8,18 @@ periodic cell in either the x- or the t-direction to produce transfer
 (monodromy) matrices whose traces are the conserved generating objects.
 
 The RK4 stepper allocates nothing per step: its stage buffers are made once,
-every FFT and ufunc writes into them with ``out=`` in the order of the plain
-expression (so trajectories are bit for bit those of the allocating form),
-each step lands directly in its row of the recorded fields, and a single
-reduction, sum |psi|^2, catches NaN, inf and norm blowup.
+every FFT and ufunc writes into them in the order of the plain expression
+(so trajectories are bit for bit those of the allocating form), each step
+lands directly in its row of the recorded fields, and a single reduction,
+sum |psi|^2, catches NaN, inf and norm blowup.  At 256 points a step is
+bound by per-call overhead, not arithmetic, and about half of each FFT call
+is ``np.fft``'s Python wrapper (at n = 256 on a 2-vCPU VM, fft 10.2
+against 4.7 us, ifft 11.7 against 5.8 us), so the stepper calls the
+pocketfft gufuncs behind it directly, with the wrapper's normalisation
+factors, and passes every scalar as a complex 0-d array made once per run.
+It looks those gufuncs up on its first call: ``import numpy`` does not load
+``numpy.fft``, and importing this module does not either, which keeps about
+1.8 ms out of its import.
 
 Both directions sample psi and its x-derivatives along the integration
 line (a supersampled snapshot, or one station for every recorded step);
@@ -26,6 +34,7 @@ x-jets spectrally; they are never computed by numerical t-differentiation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -119,30 +128,50 @@ class Trajectory:
         return GridState(self.snapshots[i], self.half_length, self.kappa)
 
 
+def _fft_kernels(n: int):
+    """The pocketfft gufuncs behind ``np.fft.fft`` and ``np.fft.ifft``, and the
+    normalisation factors those wrappers pass them for n points (1 forward,
+    1/n inverse) as 0-d arrays: ``kernel(a, factor, out)`` is bit for bit
+    ``np.fft.fft(a, out=out)`` (or ``ifft``) on a 1-d array.  Imported on
+    first use, not with numlab."""
+    from numpy.fft import _pocketfft_umath as pfu
+    return pfu.fft, pfu.ifft, np.array(1.0), np.array(1.0 / n)
+
+
 def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
                n_snapshots: int = 5, record_fine: bool = False) -> Trajectory:
     """RK4 time stepping of i psi_t = -psi_xx + 2 kappa |psi|^2 psi.
 
     Spectral x-derivatives.  The step loop allocates nothing: the spectrum,
     |psi|^2, the nonlinear term, the four stages and the stage argument live
-    in buffers made once, and every FFT and ufunc writes into one of them
-    with ``out=``, in the order of operations of the plain expression, so
-    each step is bit for bit what ``psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)``
-    gives.  Step s is written straight into row s of ``fine_fields`` (or,
-    when the run is not recorded, over one row in place).  One reduction
-    per step, |psi|^2 summed, aborts on norm blowup (step-size
-    instability), NaN or inf.  Returns exactly ``n_snapshots`` snapshots,
-    evenly spaced in steps.
+    in buffers made once, and every FFT and ufunc writes into one of them,
+    in the order of operations of the plain expression, so each step is bit
+    for bit what ``psi + dt/6 (k1 + 2 k2 + 2 k3 + k4)`` gives.  At a few
+    hundred points a step costs per-call overhead rather than arithmetic, so
+    the loop calls the FFT gufuncs directly (``_fft_kernels``), passes every
+    scalar as a complex 0-d array made once and every output positionally.
+    Raises ValueError when either end of ``t_span`` is not finite.  Step s
+    is written straight into row s of ``fine_fields`` (or, when the run is
+    not recorded, over one row in place).  One reduction per step, |psi|^2
+    summed, aborts on norm blowup (step-size instability), NaN or inf.
+    Returns exactly ``n_snapshots`` snapshots, evenly spaced in steps.
     """
     if steps < 1 or not 1 <= n_snapshots <= steps + 1:
         raise ValueError(f"need steps >= 1 and 1 <= n_snapshots <= steps + 1, "
                          f"got steps={steps}, n_snapshots={n_snapshots}")
     t0, t1 = t_span
+    if not (math.isfinite(t0) and math.isfinite(t1)):
+        raise ValueError(f"t_span must be finite, got t_span=({t0}, {t1})")
     dt = (t1 - t0) / steps
-    half, sixth = 0.5 * dt, dt / 6.0
     n, L, kap = initial.n, initial.half_length, initial.kappa
     lap = (1j * _wavenumbers(n, L)) ** 2
-    nonlin_coeff = 2j * kap
+    fft, ifft, fwd, inv = _fft_kernels(n)
+    # complex 0-d operands: a Python scalar is converted on every call, and a
+    # real one is also cast per call; x + 0j is what either would become
+    half, sixth, full, two, i1, nonlin_coeff = (
+        np.array(c, dtype=complex) for c in (0.5 * dt, dt / 6.0, dt, 2, 1j, 2j * kap))
+    multiply, add, subtract, absolute, square, vdot = (
+        np.multiply, np.add, np.subtract, np.absolute, np.square, np.vdot)
     # the blowup test is `not sum |psi|^2 <= lim2`, so a NaN sum fails it too
     lim2 = (1e6 * (np.linalg.norm(initial.samples) + 1)) ** 2
 
@@ -151,19 +180,20 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
 
     def rhs(u, out):
         """out = 1j ifft(lap fft(u)) - 2j kappa |u|^2 u, one operation at a time."""
-        np.fft.fft(u, out=spec)
-        np.multiply(lap, spec, out=spec)
-        np.fft.ifft(spec, out=out)
-        np.multiply(1j, out, out=out)
-        np.abs(u, out=mod2)
-        np.square(mod2, out=mod2)
-        np.multiply(nonlin_coeff, mod2, out=nonlin)
-        np.multiply(nonlin, u, out=nonlin)
-        np.subtract(out, nonlin, out=out)
+        fft(u, fwd, spec)
+        multiply(lap, spec, spec)
+        ifft(spec, inv, out)
+        multiply(i1, out, out)
+        absolute(u, mod2)
+        square(mod2, mod2)
+        multiply(nonlin_coeff, mod2, nonlin)
+        multiply(nonlin, u, nonlin)
+        subtract(out, nonlin, out)
 
-    # step s goes to rows[s % len(rows)]: its own row when recorded, else the
+    # step s goes to rows[s % nrows]: its own row when recorded, else the
     # one row, updated in place
-    rows = np.empty((steps + 1 if record_fine else 1, n), dtype=complex)
+    nrows = steps + 1 if record_fine else 1
+    rows = np.empty((nrows, n), dtype=complex)
     psi = rows[0]
     psi[:] = initial.samples
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
@@ -173,24 +203,24 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
         snaps.append(psi.copy())
     for s in range(1, steps + 1):
         rhs(psi, k1)
-        np.multiply(half, k1, out=stage)
-        np.add(psi, stage, out=stage)
+        multiply(half, k1, stage)
+        add(psi, stage, stage)
         rhs(stage, k2)
-        np.multiply(half, k2, out=stage)
-        np.add(psi, stage, out=stage)
+        multiply(half, k2, stage)
+        add(psi, stage, stage)
         rhs(stage, k3)
-        np.multiply(dt, k3, out=stage)
-        np.add(psi, stage, out=stage)
+        multiply(full, k3, stage)
+        add(psi, stage, stage)
         rhs(stage, k4)
         # k1 accumulates k1 + 2 k2 + 2 k3 + k4, then its dt/6 multiple
-        np.multiply(2, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.multiply(2, k3, out=k3)
-        np.add(k1, k3, out=k1)
-        np.add(k1, k4, out=k1)
-        np.multiply(sixth, k1, out=k1)
-        psi = np.add(psi, k1, out=rows[s % len(rows)])
-        if not np.vdot(psi, psi).real <= lim2:
+        multiply(two, k2, k2)
+        add(k1, k2, k1)
+        multiply(two, k3, k3)
+        add(k1, k3, k1)
+        add(k1, k4, k1)
+        multiply(sixth, k1, k1)
+        psi = add(psi, k1, rows[s % nrows])
+        if not vdot(psi, psi).real <= lim2:
             raise FloatingPointError(f"norm blowup at step {s}: reduce the time step")
         if s in snap_at:
             times.append(t0 + s * dt)

@@ -105,6 +105,34 @@ def test_sim_plane_wave_rejects_non_positive_kappa(capsys, kappa):
     assert rep["status"] == "error" and "--kappa" in rep["error"]
 
 
+@pytest.mark.parametrize("argv, kappa", [
+    ([], 1.0),
+    (["--case", "custom"], 1.0),
+    (["--case", "soliton"], -1.0),
+    (["--case", "soliton", "--kappa", "-2"], -2.0),
+], ids=["planewave", "custom", "soliton", "soliton-explicit"])
+def test_sim_kappa_defaults_to_the_case_sign_and_is_in_config(capsys, argv, kappa):
+    code, rep = run(capsys, "sim", *argv, "--grid", "32", "--steps", "20", "--t-end", "0.001")
+    assert code in (0, 1) and rep["status"] in ("pass", "fail")
+    assert rep["config"]["kappa"] == rep["kappa"] == kappa
+
+
+@pytest.mark.parametrize("kappa", ["0.5", "0", "nan"])
+def test_sim_soliton_rejects_non_negative_kappa(capsys, kappa):
+    # the bright soliton A sech(A x) is a solution only when focusing
+    code, rep = run(capsys, "sim", "--case", "soliton", "--kappa", kappa,
+                    "--grid", "32", "--steps", "10")
+    assert code == 2
+    assert rep["status"] == "error" and "--kappa" in rep["error"]
+
+
+@pytest.mark.parametrize("t_end", ["nan", "inf"])
+def test_sim_rejects_a_non_finite_time_span(capsys, t_end):
+    code, rep = run(capsys, "sim", "--t-end", t_end, "--grid", "32", "--steps", "10")
+    assert code == 2
+    assert rep["status"] == "error" and "t_span" in rep["error"]
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["gen-v", "--level", "1", "--out", str(out)])

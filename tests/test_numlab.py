@@ -1,5 +1,10 @@
 """Grid evolution, charge evaluation and transfer matrices."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -92,10 +97,39 @@ def test_unrecorded_evolution_snapshots_are_bitwise_the_per_stage_reference():
     dt = (span[1] - span[0]) / steps
     assert np.array_equal(traj.times, [span[0] + r * dt for r in rows])
     assert len(traj.snapshots) == 5
-    # the stepper reuses two rows, so a snapshot that was a view of one
-    # would be overwritten by later steps
+    # the stepper updates one row in place, so a snapshot that was a view of
+    # it would be overwritten by later steps
     for row, snap in zip(rows, traj.snapshots):
         assert np.array_equal(snap, ref[row])
+
+
+@pytest.mark.parametrize("n", [16, 33, 256])
+def test_fft_kernels_are_bitwise_numpy_fft(n):
+    rng = np.random.default_rng(n)
+    a = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    fft, ifft, fwd, inv = N._fft_kernels(n)
+    out = np.empty(n, dtype=complex)
+    assert fft(a, fwd, out) is out
+    assert np.array_equal(out, np.fft.fft(a))
+    assert ifft(a, inv, out) is out
+    assert np.array_equal(out, np.fft.ifft(a))
+
+
+def test_numlab_import_does_not_load_numpy_fft():
+    # the stepper looks its FFT kernels up on first call, not at import
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = "import sys, nlsdual.numlab; print(sorted(m for m in sys.modules if m.startswith('numpy.fft')))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(src)), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("span", [(0.0, np.nan), (np.nan, 1.0), (0.0, np.inf), (-np.inf, 0.0)])
+def test_evolution_rejects_a_non_finite_time_span(span):
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    with pytest.raises(ValueError, match="t_span"):
+        N.evolve_nls(st, span, 10)
 
 
 @pytest.mark.parametrize("steps, n_snapshots", [(2, 5), (0, 1), (0, 2), (-3, 2), (10, 0)])
@@ -283,6 +317,17 @@ def test_convergence_is_fourth_order():
     rows = N.plane_wave_convergence(base_steps=100, refinements=3)
     assert rows[1]["ratio"] == pytest.approx(16.0, rel=0.25)
     assert rows[2]["ratio"] == pytest.approx(16.0, rel=0.25)
+
+
+def test_convergence_errors_are_those_of_the_per_stage_reference():
+    rows = N.plane_wave_convergence(base_steps=100, refinements=3)
+    # plane_wave_convergence's defaults: 32 points, kappa 1, A = 0.8, mode 1, t = 0.5
+    st = N.plane_wave(32, np.pi, 1.0, 0.8, 1)
+    exact = N.plane_wave_exact(st, 1, 0.8, 0.5)
+    ref = [float(np.max(np.abs(evolve_nls_per_stage(st, (0.0, 0.5), steps)[-1] - exact)))
+           for steps in (100, 200, 400)]
+    assert [row["steps"] for row in rows] == [100, 200, 400]
+    assert [row["error"] for row in rows] == ref
 
 
 def test_spectral_resample_band_limited():
