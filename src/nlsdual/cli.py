@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
-from . import hierarchy, brackets
+from . import hierarchy
 
 REPORT_VERSION = 1
 
@@ -42,11 +43,6 @@ def _matrix_payload(M, fmt: str):
     if fmt == "text":
         return repr(M)
     return M.to_json_obj()
-
-
-def _lagrangian(which: str):
-    lvl = {"l2": 2, "l3": 3, "l4": 4}[which]
-    return lvl, brackets.build_level_lagrangian(lvl)
 
 
 def cmd_gen_v(args) -> int:
@@ -110,6 +106,10 @@ _MATRIX_CHOICES = ("u", "v2", "v3", "v4")
 
 
 def cmd_verify_rmatrix(args) -> int:
+    # brackets is imported by the two commands that use it (this and dirac),
+    # so the others start without compiling it
+    from . import brackets
+
     U = hierarchy.build_u()
     if args.matrix == "u":
         A, gamma = U, +1
@@ -125,8 +125,10 @@ def cmd_verify_rmatrix(args) -> int:
 
 
 def cmd_dirac(args) -> int:
-    lvl, L = _lagrangian(args.lagrangian)
-    res = brackets.dirac_pipeline(L, args.direction)
+    from . import brackets
+
+    lvl = {"l2": 2, "l3": 3, "l4": 4}[args.lagrangian]
+    res = brackets.dirac_pipeline(brackets.build_level_lagrangian(lvl), args.direction)
     cs = res.constraints
     body = {
         "level": lvl,
@@ -151,10 +153,11 @@ def cmd_sim(args) -> int:
     import numpy as np
     from . import numlab
 
-    rng = np.random.default_rng(args.seed)
     n, L = args.grid, np.pi
     # default to the case's own sign: the bright soliton is focusing
     kappa = args.kappa if args.kappa is not None else (-1.0 if args.case == "soliton" else 1.0)
+    if not math.isfinite(kappa):
+        raise ValueError(f"--kappa must be finite, got {kappa}")
     x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
         if not kappa > 0:
@@ -172,6 +175,8 @@ def cmd_sim(args) -> int:
         amp = 2.0
         state = numlab.GridState(amp / np.cosh(amp * x), L, kappa)
     else:
+        # only this case draws a random number: numpy.random loads here alone
+        rng = np.random.default_rng(args.seed)
         prof = 0.7 + 0.2 * np.cos(x) + 0.1 * rng.standard_normal()
         state = numlab.GridState(prof * np.exp(1j * x), L, kappa)
 

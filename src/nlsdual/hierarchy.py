@@ -16,10 +16,10 @@ they must agree and are cross-checked in the test suite.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .ringcore import Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA, KAPPA
+from .ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA, KAPPA, _frozen_delattr,
+                       _frozen_setattr)
 from .laxalg import Entry2, LaxMatrix, _add2, _mul2, _scale2, _zeros2
 
 _Z = DiffPoly.zero()
@@ -45,12 +45,29 @@ def build_u() -> LaxMatrix:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class WSeries:
-    """Coefficients W^(n), n = 1..K of the off-diagonal gauge series for X."""
+    """Coefficients W^(n), n = 1..K of the off-diagonal gauge series for X:
+    ``entries[n-1]`` is W^(n).  Immutable and unhashable."""
 
-    X: LaxMatrix
-    entries: tuple[Entry2, ...]  # entries[n-1] = W^(n)
+    __slots__ = ("X", "entries")
+    __match_args__ = __slots__
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
+
+    def __init__(self, X: LaxMatrix, entries: tuple[Entry2, ...]):
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "entries", entries)
+
+    def __reduce__(self):
+        return (WSeries, (self.X, self.entries))
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.X, self.entries) == (other.X, other.entries)
+
+    def __repr__(self) -> str:
+        return f"WSeries(X={self.X!r}, entries={self.entries!r})"
 
     @property
     def order(self) -> int:
@@ -289,12 +306,13 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
     if W is None or W.order < K:
         W = solve_W(X, K + 1)
     inv = _neumann_series(W, K)
-    ident = inv[0]
     sig = (DiffPoly.const(1), _Z, _Z, DiffPoly.const(-1))
+    # Wsig[a]: mu^-a coefficient of (1+W) sigma_3, each product formed once
+    Wsig = [_mul2(inv[0] if a == 0 else W.w(a), sig) for a in range(K + 1)]
     # G[n]: mu^-n coefficient of (1+W) sigma_3 (1+W)^{-1}
     G = {}
     for n in range(K + 1):
-        prods = [_mul2(_mul2(ident if a == 0 else W.w(a), sig), inv[n - a]) for a in range(n + 1)]
+        prods = [_mul2(Wsig[a], inv[n - a]) for a in range(n + 1)]
         G[n] = tuple(DiffPoly.sum(p[i] for p in prods) for i in range(4))
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in
     # gamma*kappa/(2i) * (1+W) sigma_3 (1+W)^-1 / (lambda-mu) = kappa*sum Y^(m-1)/mu^m

@@ -12,11 +12,11 @@ algebraic in lambda so this is a coefficient-level convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .ringcore import Coeff, DiffPoly, JetVar, PSI, PSIBAR, KAPPA
+from .ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, KAPPA, _frozen_delattr,
+                       _frozen_setattr)
 
 Entry2 = tuple  # (e00, e01, e10, e11) of DiffPoly
 
@@ -48,23 +48,29 @@ def _is_zero2(a: Entry2) -> bool:
     return all(x.is_zero() for x in a)
 
 
-@dataclass(frozen=True)
 class LaxMatrix:
     """Finite lambda-Laurent 2x2 matrix over DiffPoly.
 
     ``coeffs`` maps lambda-power -> 4-tuple of entries (row major).  ``xi``
     records which independent variable the associated auxiliary linear
     problem differentiates in ('x' or ('t', n)); ``level`` is the declared
-    hierarchy level when meaningful.
+    hierarchy level when meaningful.  Immutable and unhashable; ``==``
+    compares the entries only.
     """
 
-    coeffs: Mapping[int, Entry2]
-    xi: object = "x"
-    level: int | None = None
+    __slots__ = ("coeffs", "xi", "level")
+    __match_args__ = __slots__
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        clean = {p: e for p, e in self.coeffs.items() if not _is_zero2(e)}
+    def __init__(self, coeffs: Mapping[int, Entry2], xi: object = "x", level: int | None = None):
+        clean = {p: e for p, e in coeffs.items() if not _is_zero2(e)}
         object.__setattr__(self, "coeffs", clean)
+        object.__setattr__(self, "xi", xi)
+        object.__setattr__(self, "level", level)
+
+    def __reduce__(self):
+        return (LaxMatrix, (self.coeffs, self.xi, self.level))
 
     # -- access --------------------------------------------------------------
     def lam_coeff(self, p: int) -> Entry2:
@@ -301,15 +307,24 @@ def _entry_latex(poly_by_pow: Mapping[int, DiffPoly]) -> str:
 Entry4 = tuple  # 16 DiffPoly, row major
 
 
-@dataclass(frozen=True)
 class TensorMatrix:
-    """4x4 matrix over DiffPoly, bigraded in (lambda-power, mu-power)."""
+    """4x4 matrix over DiffPoly, bigraded in (lambda-power, mu-power).
+    ``TensorMatrix()`` is the zero matrix.  Immutable and unhashable."""
 
-    coeffs: Mapping[tuple[int, int], Entry4] = field(default_factory=dict)
+    __slots__ = ("coeffs",)
+    __match_args__ = __slots__
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
-    def __post_init__(self):
-        clean = {pw: e for pw, e in self.coeffs.items() if any(not x.is_zero() for x in e)}
+    def __init__(self, coeffs: Mapping[tuple[int, int], Entry4] | None = None):
+        clean = {pw: e for pw, e in (coeffs or {}).items() if any(not x.is_zero() for x in e)}
         object.__setattr__(self, "coeffs", clean)
+
+    def __reduce__(self):
+        return (TensorMatrix, (self.coeffs,))
+
+    def __repr__(self) -> str:
+        return f"TensorMatrix(coeffs={self.coeffs!r})"
 
     def __add__(self, other: "TensorMatrix") -> "TensorMatrix":
         acc = dict(self.coeffs)

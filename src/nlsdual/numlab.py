@@ -25,7 +25,8 @@ Both directions sample psi and its x-derivatives along the integration
 line (a supersampled snapshot, or one station for every recorded step);
 one jet evaluator maps them onto psi/psibar jets.  The ODE is linear, so
 each RK4 step is a 2x2 propagator: for each lambda all of them are built at
-once, and their ordered product is taken by pairwise tree reduction.
+once, as one array per matrix entry, and their ordered product is taken by
+pairwise tree reduction.
 
 t-jets required inside a flow matrix during time-direction transfer are
 obtained by substituting the symbolic evolution rules and evaluating
@@ -60,6 +61,8 @@ class GridState:
         # up about 0.2 MB of state, which construction need not pay for
         if np.count_nonzero(np.isfinite(self.samples)) != self.samples.size:
             raise ValueError("samples must be finite; got NaN or inf")
+        if not math.isfinite(self.kappa):
+            raise ValueError(f"kappa must be finite, got kappa={self.kappa}")
 
     @property
     def n(self) -> int:
@@ -331,56 +334,68 @@ class MonodromySample:
 
 
 def _entry_arrays(M: LaxMatrix, values: Mapping[JetVar, np.ndarray], kappa: float,
-                  npts: int) -> dict[int, np.ndarray]:
-    """For each lambda power, the entries of M as one (npts, 2, 2) array."""
+                  npts: int) -> dict[int, tuple[np.ndarray, ...]]:
+    """For each lambda power, the four entries of M (row major) as four 1-d
+    arrays over the npts points."""
     out = {}
     for p, e in M.coeffs.items():
-        arr = np.zeros((npts, 2, 2), dtype=complex)
-        for idx, x in enumerate(e):
+        arrs = []
+        for x in e:
+            arr = np.zeros(npts, dtype=complex)
             if not x.is_zero():
-                arr[:, idx // 2, idx % 2] = x.evaluate(values, kappa)
-        out[p] = arr
+                arr[:] = x.evaluate(values, kappa)
+            arrs.append(arr)
+        out[p] = tuple(arrs)
     return out
 
 
-def _matmul2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Stacked 2x2 products a @ b, written out as column-times-row sums:
-    numpy's batched ``@`` handles each 2x2 matrix separately and is several
-    times slower on long stacks."""
-    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+def _matmul2(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """Elementwise 2x2 products a @ b of matrices stored as four entry arrays
+    (row major).  One array per entry makes every product a plain 1-d ufunc
+    call: on stacked (n, 2, 2) arrays numpy's batched ``@`` handles each
+    matrix separately, and broadcast column-times-row sums work on strided
+    3-d views."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
 
 
-def _step_propagators(entry_arrays: Mapping[int, np.ndarray], lam: complex, h: float) -> np.ndarray:
+def _step_propagators(entry_arrays: Mapping[int, tuple[np.ndarray, ...]], lam: complex,
+                      h: float) -> list[np.ndarray]:
     """The RK4 step maps T -> P_j T of T' = A(s; lam) T for every step j at
-    once, as one (n_steps, 2, 2) array.
+    once, as four entry arrays of length n_steps.
 
     A = sum_p lam^p E_p is sampled at half-steps: 2*n_steps points on a
     periodic line (the last step ends on the first point) or 2*n_steps+1
     points.  P_j is the RK4 stage formula applied to T = I."""
-    A = sum(lam**p * arr for p, arr in entry_arrays.items())
-    npts = len(A)
+    A = [sum(lam**p * arrs[i] for p, arrs in entry_arrays.items()) for i in range(4)]
+    npts = len(A[0])
     j = np.arange(npts // 2)
-    A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
-    k2 = A1 + (0.5 * h) * _matmul2(A1, A0)
-    k3 = A1 + (0.5 * h) * _matmul2(A1, k2)
-    k4 = A2 + h * _matmul2(A2, k3)
-    P = (h / 6.0) * (A0 + 2 * k2 + 2 * k3 + k4)
-    P[:, 0, 0] += 1.0
-    P[:, 1, 1] += 1.0
+    A0, A1, A2 = ([a[idx] for a in A] for idx in (2 * j, 2 * j + 1, (2 * j + 2) % npts))
+    k2 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, A0))]
+    k3 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, k2))]
+    k4 = [a + h * m for a, m in zip(A2, _matmul2(A2, k3))]
+    P = [(h / 6.0) * (a0 + 2 * b + 2 * c + d) for a0, b, c, d in zip(A0, k2, k3, k4)]
+    P[0] += 1.0
+    P[3] += 1.0
     return P
 
 
-def _ordered_product(P: np.ndarray) -> np.ndarray:
-    """P[n-1] ... P[1] P[0] by pairwise tree reduction: each level multiplies
-    neighbours in one batched product, and an odd last factor is folded into
-    the last pair."""
-    while len(P) > 1:
-        n = len(P)
-        pairs = _matmul2(P[1:n - n % 2:2], P[0:n - n % 2:2])
+def _ordered_product(P: Sequence[np.ndarray]) -> np.ndarray:
+    """P[n-1] ... P[1] P[0] of matrices given as four entry arrays, by
+    pairwise tree reduction: each level multiplies neighbours in one batched
+    product, and an odd last factor is folded into the last pair.  Returns
+    the 2x2 product."""
+    while len(P[0]) > 1:
+        n = len(P[0])
+        m = n - n % 2
+        pairs = _matmul2([x[1:m:2] for x in P], [x[0:m:2] for x in P])
         if n % 2:
-            pairs[-1] = _matmul2(P[-1], pairs[-1])
+            last = _matmul2([x[-1:] for x in P], [x[-1:] for x in pairs])
+            for x, y in zip(pairs, last):
+                x[-1:] = y
         P = pairs
-    return P[0]
+    return np.array(P).reshape(2, 2)
 
 
 def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction: str,
@@ -425,7 +440,7 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
 
     arrays = _entry_arrays(Msub, _jet_values(derivs, jets), data.kappa, derivs[0].size)
     # one lambda at a time: stacking them is no faster and multiplies the
-    # transient (steps, 2, 2) arrays by the number of lambdas
+    # transient per-step entry arrays by the number of lambdas
     mats = [_ordered_product(_step_propagators(arrays, lam, h)) for lam in lam_values]
     sample = MonodromySample(list(lam_values), mats, direction)
     bad = sample.det_errors().max()

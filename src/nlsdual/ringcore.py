@@ -15,7 +15,6 @@ input, so their loops are bounded by the input's jets and cut nothing off.
 from __future__ import annotations
 
 import json
-from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -163,6 +162,17 @@ _CONJ_PAIRS = {"psi": "psibar", "psibar": "psi"}
 _FIELD_RANK = {"psi": 0, "psibar": 1}
 
 
+# __setattr__ and __delattr__ of the immutable slotted classes (JetVar here,
+# LaxMatrix and TensorMatrix in laxalg, WSeries in hierarchy); their
+# constructors write through object.__setattr__
+def _frozen_setattr(self, name, value):
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 # ---------------------------------------------------------------------------
 # jet variables
 # ---------------------------------------------------------------------------
@@ -205,11 +215,8 @@ class JetVar:
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __setattr__(self, name, value):
-        raise FrozenInstanceError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise FrozenInstanceError(f"cannot delete field {name!r}")
+    __setattr__ = _frozen_setattr
+    __delattr__ = _frozen_delattr
 
     def __reduce__(self):
         return (JetVar, (self.field, self.dx, self.dt))

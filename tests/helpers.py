@@ -253,6 +253,44 @@ def transfer_along_t_per_record(M, traj, lam_values, station: int) -> list:
     return mats
 
 
+def matmul2_stacked(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Stacked 2x2 products a @ b of (..., 2, 2) arrays, as column-times-row
+    sums in the order of ``numlab._matmul2``."""
+    return a[..., :, :1] * b[..., :1, :] + a[..., :, 1:] * b[..., 1:, :]
+
+
+def step_propagators_stacked(entry_arrays, lam: complex, h: float) -> np.ndarray:
+    """``numlab._step_propagators`` on (npts, 2, 2) entry arrays, returning
+    one (n_steps, 2, 2) array."""
+    A = sum(lam**p * arr for p, arr in entry_arrays.items())
+    npts = len(A)
+    j = np.arange(npts // 2)
+    A0, A1, A2 = A[2 * j], A[2 * j + 1], A[(2 * j + 2) % npts]
+    k2 = A1 + (0.5 * h) * matmul2_stacked(A1, A0)
+    k3 = A1 + (0.5 * h) * matmul2_stacked(A1, k2)
+    k4 = A2 + h * matmul2_stacked(A2, k3)
+    P = (h / 6.0) * (A0 + 2 * k2 + 2 * k3 + k4)
+    P[:, 0, 0] += 1.0
+    P[:, 1, 1] += 1.0
+    return P
+
+
+def ordered_product_stacked(P: np.ndarray) -> np.ndarray:
+    """``numlab._ordered_product`` on an (n, 2, 2) array."""
+    while len(P) > 1:
+        n = len(P)
+        pairs = matmul2_stacked(P[1:n - n % 2:2], P[0:n - n % 2:2])
+        if n % 2:
+            pairs[-1] = matmul2_stacked(P[-1], pairs[-1])
+        P = pairs
+    return P[0]
+
+
+def entry_columns(stacked: np.ndarray) -> tuple:
+    """The four entries (row major) of an (npts, 2, 2) array as 1-d arrays."""
+    return tuple(np.ascontiguousarray(stacked[:, i // 2, i % 2]) for i in range(4))
+
+
 def rk4_transfer_sequential(entry_arrays, lam: complex, h: float, n_steps: int):
     """Integrate T' = A(s; lam) T across the cell one RK4 step at a time; A is
     sampled at half-steps (2*n_steps points with a periodic wrap for the

@@ -126,6 +126,15 @@ def test_sim_soliton_rejects_non_negative_kappa(capsys, kappa):
     assert rep["status"] == "error" and "--kappa" in rep["error"]
 
 
+@pytest.mark.parametrize("case, kappa", [("custom", "nan"), ("custom", "inf"),
+                                         ("planewave", "inf"), ("soliton", "-inf")])
+def test_sim_rejects_a_non_finite_kappa(capsys, case, kappa):
+    code, rep = run(capsys, "sim", "--case", case, f"--kappa={kappa}",
+                    "--grid", "32", "--steps", "50")
+    assert code == 2
+    assert rep["status"] == "error" and "--kappa must be finite" in rep["error"]
+
+
 @pytest.mark.parametrize("t_end", ["nan", "inf"])
 def test_sim_rejects_a_non_finite_time_span(capsys, t_end):
     code, rep = run(capsys, "sim", "--t-end", t_end, "--grid", "32", "--steps", "10")
@@ -214,3 +223,42 @@ def test_numlab_is_loaded_on_first_access():
                          "print(nlsdual.numlab.__name__, 'numpy' in sys.modules)")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["nlsdual.numlab", "True"]
+
+
+def test_importing_the_cli_loads_only_the_exact_core():
+    # every CLI process compiles what it imports when no bytecode cache is
+    # written, so the import must leave out what most commands never run
+    proc = _python("-c", "import json, sys\n"
+                         "before = set(sys.modules)\n"
+                         "import nlsdual.cli\n"
+                         "print(json.dumps(sorted(set(sys.modules) - before)))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(json.loads(proc.stdout))
+    assert {"nlsdual.ringcore", "nlsdual.laxalg", "nlsdual.hierarchy"} <= loaded
+    unwanted = {"numpy", "nlsdual.brackets", "nlsdual.numlab", "dataclasses", "inspect"}
+    assert not loaded & unwanted
+
+
+def test_brackets_is_loaded_on_first_access():
+    proc = _python("-c", "import sys, nlsdual\n"
+                         "assert 'nlsdual.brackets' not in sys.modules\n"
+                         "print(nlsdual.__all__)\n"
+                         "print(nlsdual.brackets.__name__)\n"
+                         "from nlsdual import brackets\n"
+                         "print(brackets is sys.modules['nlsdual.brackets'])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == [
+        "['ringcore', 'laxalg', 'hierarchy', 'brackets', 'numlab']", "nlsdual.brackets", "True"]
+
+
+def test_sim_planewave_does_not_load_numpy_random():
+    # only --case custom draws a random number
+    proc = _python("-c", "import contextlib, io, sys\n"
+                         "from nlsdual.cli import main\n"
+                         "with contextlib.redirect_stdout(io.StringIO()):\n"
+                         "    code = main(sys.argv[1:])\n"
+                         "print(code, 'numpy.random' in sys.modules)",
+                   "sim", "--case", "planewave", "--grid", "32", "--steps", "20",
+                   "--t-end", "0.001")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "False"]

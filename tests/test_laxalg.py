@@ -1,5 +1,7 @@
 """Matrix algebra, tensor operations and the divided-difference r-matrix form."""
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -8,7 +10,7 @@ from nlsdual.ringcore import Coeff, DiffPoly, JetVar
 from nlsdual.laxalg import (LaxMatrix, TensorMatrix, divided_difference, embed1, embed2,
                             field_matrix, identity2, lax_from_entries, permutation,
                             rmatrix_bracket_rhs, sigma3)
-from nlsdual.hierarchy import build_u, generate_partner
+from nlsdual.hierarchy import WSeries, build_u, generate_partner, solve_W
 from helpers import pj, qj, v, mono, cf, random_poly
 
 Z = DiffPoly.zero()
@@ -181,3 +183,58 @@ def test_latex_and_json_emitters():
     assert tex.startswith("\\begin{pmatrix}") and "\\lambda" in tex and "\\psi" in tex
     obj = U.to_json_obj()
     assert set(obj) == {"xi", "level", "coeffs"}
+
+
+def _value_objects():
+    """One LaxMatrix, TensorMatrix and WSeries each, with a copy made
+    independently and an unequal instance of the same class."""
+    U = build_u()
+    W2, W3 = solve_W(U, 2), solve_W(U, 3)
+    return [
+        (U, build_u(), U.shift_lambda(1)),
+        (rmatrix_bracket_rhs(U, 1), rmatrix_bracket_rhs(build_u(), 1), TensorMatrix()),
+        (W2, WSeries(X=build_u(), entries=W2.entries), W3),
+    ]
+
+
+@pytest.mark.parametrize("index", range(3), ids=["LaxMatrix", "TensorMatrix", "WSeries"])
+def test_value_objects_are_immutable_unhashable_and_compare_by_value(index):
+    obj, same, other = _value_objects()[index]
+    assert obj == same and not obj != same
+    assert obj != other and not obj == other
+    assert obj != 3 and not obj == 3
+    for name in ("coeffs", "X", "entries", "xi", "level", "anything_new"):
+        with pytest.raises(AttributeError):
+            setattr(obj, name, None)
+    for name in ("coeffs", "X", "entries", "anything_new"):
+        with pytest.raises(AttributeError):
+            delattr(obj, name)
+    with pytest.raises(TypeError):
+        hash(obj)
+    assert obj == same                  # the failed writes changed nothing
+    assert copy.copy(obj) == obj and copy.deepcopy(obj) == obj
+    assert pickle.loads(pickle.dumps(obj)) == obj
+
+
+def test_value_object_constructors_and_repr():
+    one = DiffPoly.const(1)
+    e = (one, Z, Z, one.scale(-1))
+    # positional and keyword; entries that are zero are dropped
+    A = LaxMatrix({0: e, 3: (Z, Z, Z, Z)})
+    B = LaxMatrix(coeffs={0: e}, xi=("t", 2), level=0)
+    assert A.coeffs == B.coeffs == {0: e}
+    assert (A.xi, A.level) == ("x", None) and (B.xi, B.level) == (("t", 2), 0)
+    assert A == B                       # equality compares entries only
+    assert repr(B) == "LaxMatrix(xi=('t', 2), level=0)\n  lam^0: [[(1), 0], [0, (-1)]]"
+
+    t = (one,) + (Z,) * 15
+    assert TensorMatrix().coeffs == {} and TensorMatrix().is_zero()
+    assert TensorMatrix({(1, 0): t, (0, 0): (Z,) * 16}).coeffs == {(1, 0): t}
+    assert TensorMatrix(coeffs={(1, 0): t}) == TensorMatrix({(1, 0): t})
+    assert repr(TensorMatrix()) == "TensorMatrix(coeffs={})"
+    assert repr(TensorMatrix({(1, 0): t})) == f"TensorMatrix(coeffs={{(1, 0): {t!r}}})"
+
+    U = build_u()
+    W = solve_W(U, 1)
+    assert WSeries(U, W.entries) == WSeries(X=U, entries=W.entries) == W
+    assert repr(W) == f"WSeries(X={U!r}, entries={W.entries!r})"

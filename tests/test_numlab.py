@@ -11,7 +11,8 @@ import pytest
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
 from nlsdual.ringcore import DiffPoly, JetVar
-from helpers import (pj, qj, v, mono, cf, evolve_nls_per_stage, rk4_transfer_sequential,
+from helpers import (pj, qj, v, mono, cf, entry_columns, evolve_nls_per_stage,
+                     ordered_product_stacked, rk4_transfer_sequential, step_propagators_stacked,
                      transfer_along_t_per_record)
 
 U = build_u()
@@ -35,6 +36,12 @@ def test_grid_state_rejects_non_finite_samples(bad):
     samples[7] = bad
     with pytest.raises(ValueError, match="finite"):
         N.GridState(samples, np.pi, 1.0)
+
+
+@pytest.mark.parametrize("kappa", [np.nan, np.inf, -np.inf])
+def test_grid_state_rejects_a_non_finite_kappa(kappa):
+    with pytest.raises(ValueError, match="kappa must be finite"):
+        N.GridState(np.ones(32, dtype=complex), np.pi, kappa)
 
 
 def test_plane_wave_evolution_matches_dispersion():
@@ -274,10 +281,29 @@ def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
               for p in range(3)}
     lams = [0.3, -1.1 + 0.2j, 1.7]
     h = 1.0 / n_steps
+    columns = {p: entry_columns(arr) for p, arr in arrays.items()}
     for lam in lams:
-        got = N._ordered_product(N._step_propagators(arrays, lam, h))
+        got = N._ordered_product(N._step_propagators(columns, lam, h))
         want = rk4_transfer_sequential(arrays, lam, h, n_steps)
         assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 7, 64, 513, 1001])
+def test_entry_array_kernels_match_the_stacked_ones_bitwise(n_steps, periodic):
+    # the same operations in the same order on one array per entry, so every
+    # propagator and every product is bit for bit that of (n, 2, 2) arrays
+    rng = np.random.default_rng(1000 + n_steps)
+    npts = 2 * n_steps + (0 if periodic else 1)
+    arrays = {p: rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
+              for p in range(3)}
+    columns = {p: entry_columns(arr) for p, arr in arrays.items()}
+    h = 1.0 / n_steps
+    for lam in [0.3, -1.1 + 0.2j, 1.7]:
+        P = N._step_propagators(columns, lam, h)
+        want_P = step_propagators_stacked(arrays, lam, h)
+        assert all(np.array_equal(P[i], want_P[:, i // 2, i % 2]) for i in range(4))
+        assert np.array_equal(N._ordered_product(P), ordered_product_stacked(want_P))
 
 
 @pytest.mark.parametrize("direction", ["along_x", "along_t"])
