@@ -14,6 +14,10 @@ Leibniz rule.  On top of that this module implements
 * integration-by-parts normalisation of densities and the construction of
   the level-n Lagrangian from the conserved-density ladder.
 
+The checks that only the tests run (the Jacobi defect and antisymmetry of a
+table, the full x/t Euler operator and the Euler-Lagrange check of a
+reduction) are in tests/helpers.py.
+
 Conventions: {p, q} = 1 for a momentum p conjugate to a coordinate q, and
 f' = {H, f} for the evolution generated by H.
 """
@@ -74,9 +78,6 @@ class BracketTable:
     def entry(self, a: JetVar, b: JetVar) -> DiffPoly:
         return self.entries.get((a, b), _Z)
 
-    def is_antisymmetric(self) -> bool:
-        return all((self.entry(b, a) + v).is_zero() for (a, b), v in self.entries.items())
-
     def nonzero_pairs(self):
         seen = set()
         for (a, b), v in sorted(self.entries.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())):
@@ -130,25 +131,6 @@ def leibniz_bracket(f: DiffPoly, g: DiffPoly, table: BracketTable) -> DiffPoly:
     """
     df, dg = _gradient(f, table), _gradient(g, table)
     return _contract(_covector(df, table, only=dg), dg)
-
-
-def jacobi_defect(table: BracketTable, a: JetVar, b: JetVar, c: JetVar) -> DiffPoly:
-    """{a,{b,c}} + {b,{c,a}} + {c,{a,b}} for coordinate triples."""
-    A, B, C = (DiffPoly.var(v) for v in (a, b, c))
-    out = leibniz_bracket(A, leibniz_bracket(B, C, table), table)
-    out = out + leibniz_bracket(B, leibniz_bracket(C, A, table), table)
-    out = out + leibniz_bracket(C, leibniz_bracket(A, B, table), table)
-    return out
-
-
-def hamiltonian_flows(h: DiffPoly, table: BracketTable, w) -> dict[JetVar, DiffPoly]:
-    """Flow {integral of h, c} for every coordinate c of the table.
-
-    ``w`` is the variable the bracket is ultralocal in; h may contain
-    w-prolongations of the coordinates (and nothing else).
-    """
-    flows = _flows(h, table, w)
-    return {c: flows.get(c, _Z) for c in table.coords}
 
 
 def _flows(h: DiffPoly, table: BracketTable, w) -> dict[JetVar, DiffPoly]:
@@ -354,69 +336,6 @@ class Reduction:
     order: int                      # highest x-derivative in the original
     lagrangian: DiffPoly            # auxiliary first-order Lagrangian
     coord_fields: tuple[str, ...]   # phi's, chain fields, multipliers (in order)
-    chain_len: int
-
-    def multipliers_from_euler_lagrange(self) -> dict[JetVar, DiffPoly]:
-        """Solve the chain-field variational equations for the multipliers."""
-        out = {}
-        for k in range(1, self.chain_len):
-            for j in range(2):
-                mu = JetVar(_mu_field(k, j), 0)
-                el = full_euler(self.lagrangian, _chain_field(k, j), self.level)
-                c = el.diff(mu).coefficient(())
-                if c.is_zero():
-                    raise ValueError("multiplier does not appear in its variational equation")
-                rest = el - DiffPoly.var(mu, c)
-                out[mu] = rest.scale(-(c.inverse()))
-        return out
-
-    def euler_lagrange_check(self) -> bool:
-        """The auxiliary variational equations reproduce the original ones.
-
-        Substituting the constraints (chain fields -> x-jets) and the solved
-        multipliers into the base-field equations must give exactly the
-        Euler-Lagrange equations of the original Lagrangian.
-        """
-        mus = self.multipliers_from_euler_lagrange()
-        back = self._back_to_jets()
-        for j, fld in enumerate(_BASE_FIELDS):
-            el = full_euler(self.lagrangian, fld, self.level)
-            el = el.substitute(mus).substitute(back)
-            orig = full_euler(self.original, ("psi", "psibar")[j], self.level)
-            if not (el - orig).is_zero():
-                return False
-        return True
-
-    def _back_to_jets(self) -> dict[JetVar, DiffPoly]:
-        rules = {}
-        for j, psi_name in enumerate(("psi", "psibar")):
-            rules[JetVar(_BASE_FIELDS[j], 0)] = DiffPoly.var(JetVar(psi_name, 0))
-            for k in range(1, self.chain_len):
-                rules[JetVar(_chain_field(k, j), 0)] = DiffPoly.var(JetVar(psi_name, k))
-        return rules
-
-
-def full_euler(L: DiffPoly, fld: str, level: int) -> DiffPoly:
-    """Variational derivative over both x and t_level derivatives.
-
-    The sum over the x-orders k present in L of (-d_x)^k applied to the
-    t_level Euler operator at the k-th x-jet of ``fld``, so no order is cut
-    off; a jet of ``fld`` that is not an x/t_level-derivative raises.
-    """
-    w = ("t", level)
-    orders = set()
-    for v in L.jets():
-        if v.field == fld:
-            if v.prolongation_depth(JetVar(fld, v.dx), w) is None:
-                raise ValueError(f"jet {v} is not an x/t_{level} derivative of {fld}")
-            orders.add(v.dx)
-    terms = []
-    for k in orders:
-        term = L.euler_along(JetVar(fld, k), w)
-        for _ in range(k):
-            term = -term.d_x()
-        terms.append(term)
-    return DiffPoly.sum(terms)
 
 
 def ostrogradski_reduce(L: DiffPoly) -> Reduction:
@@ -456,7 +375,7 @@ def ostrogradski_reduce(L: DiffPoly) -> Reduction:
             chain = JetVar(_chain_field(k, j), 0)
             Laux = Laux + DiffPoly.var(mu) * (DiffPoly.var(chain) - DiffPoly.var(lower))
             coord_fields.append(_mu_field(k, j))
-    return Reduction(L, level, K, Laux, tuple(coord_fields), K)
+    return Reduction(L, level, K, Laux, tuple(coord_fields))
 
 
 # ---------------------------------------------------------------------------

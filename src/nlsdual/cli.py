@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 from . import hierarchy
@@ -25,13 +24,10 @@ def _report(command: str, config: dict, status: str, body: dict) -> dict:
 
 def _emit(report: dict, args) -> int:
     text = json.dumps(report, indent=2, default=str)
-    out = args.out
-    if out is None and os.environ.get("NLSDUAL_OUTDIR"):
-        out = os.path.join(os.environ["NLSDUAL_OUTDIR"], f"{report['command']}.json")
-    if out:
-        with open(out, "w") as fh:
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(text + "\n")
-        print(f"wrote {out}")
+        print(f"wrote {args.out}")
     else:
         print(text)
     return 0 if report.get("status") in ("pass", "ok") else 1
@@ -158,6 +154,9 @@ def cmd_sim(args) -> int:
     kappa = args.kappa if args.kappa is not None else (-1.0 if args.case == "soliton" else 1.0)
     if not math.isfinite(kappa):
         raise ValueError(f"--kappa must be finite, got {kappa}")
+    if not (math.isfinite(args.tol) and args.tol > 0):
+        # drift < inf passes whatever the drift; drift < nan or < 0 never passes
+        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
     x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
         if not kappa > 0:

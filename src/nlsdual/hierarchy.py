@@ -76,22 +76,6 @@ class WSeries:
     def w(self, n: int) -> Entry2:
         return self.entries[n - 1]
 
-    def lower_component(self, n: int) -> DiffPoly:
-        """The scalar w^(n) in W^(n) = i sqrt(kappa) [[0, -conj(w)], [w, 0]]."""
-        c = (_I * SQRT_KAPPA).inverse()
-        return self.w(n)[2].scale(c)
-
-    def check_reality(self) -> bool:
-        """W^(n) = i sqrt(kappa) [[0, -wbar], [w, 0]] with wbar = conj(w)."""
-        for e in self.entries:
-            if not (e[0].is_zero() and e[3].is_zero()):
-                return False
-            w = e[2].scale((_I * SQRT_KAPPA).inverse())
-            want_upper = -w.conjugate().scale(_I * SQRT_KAPPA)
-            if not (e[1] - want_upper).is_zero():
-                return False
-        return True
-
 
 def _leading_sigma3_scale(X: LaxMatrix) -> Coeff:
     N = X.degree()
@@ -111,9 +95,9 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
     """Solve the two recursion families for W^(1)..W^(K).
 
     The sign of the quadratic W*X_o*W sums is fixed by consistency with the
-    matrix Riccati equation W_xi = X_d W - W X_d + X_o - W X_o W (the
-    residual of which is checked by :func:`riccati_residual`); with the
-    opposite sign the series fails the Riccati test at third order already.
+    matrix Riccati equation W_xi = X_d W - W X_d + X_o - W X_o W (the tests
+    check its residual with ``riccati_residual`` in tests/helpers.py); with
+    the opposite sign the series fails the Riccati test at third order already.
     ad(sigma_3) is inverted in closed form on off-diagonal matrices.
     """
     N = X.degree()
@@ -162,44 +146,6 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
                         R = _add2(R, _mul2(_mul2(W[a], Xo.get(pp, _zeros2())), W[b]))
         W[n] = ad_inv(R)
     return WSeries(X, tuple(W[n] for n in range(1, K + 1)))
-
-
-def riccati_residual(X: LaxMatrix, W: WSeries) -> dict[int, Entry2]:
-    """Order-by-order residual of W_xi - X_d W + W X_d - X_o + W X_o W.
-
-    Keys are lambda-powers from N down to -(K-N); with a consistent series
-    every available order vanishes.  A nonzero residual is returned, not
-    raised: it is data for the verification report.
-    """
-    N = X.degree()
-    K = W.order
-    Xd = {j: X.diag_part().lam_coeff(j) for j in range(N + 1)}
-    Xo = {j: X.off_part().lam_coeff(j) for j in range(N + 1)}
-
-    def d_xi(e: Entry2) -> Entry2:
-        return tuple(x.d_along(X.xi) for x in e)
-
-    res = {}
-    lo = -(K - N) if K > N else 0
-    for m in range(N, lo - 1, -1):
-        R = _zeros2()
-        if m <= -1:
-            R = _add2(R, d_xi(W.w(-m)))
-        for j in range(N + 1):
-            k = j - m
-            if 1 <= k <= K:
-                Xdj = Xd.get(j, _zeros2())
-                R = _add2(R, _scale2(_add2(_mul2(Xdj, W.w(k)), _scale2(_mul2(W.w(k), Xdj), -1)), -1))
-        if 0 <= m <= N:
-            R = _add2(R, _scale2(Xo.get(m, _zeros2()), -1))
-        for j in range(N + 1):
-            tot = j - m
-            for a in range(1, tot):
-                b = tot - a
-                if 1 <= b <= K and a <= K:
-                    R = _add2(R, _mul2(_mul2(W.w(a), Xo.get(j, _zeros2())), W.w(b)))
-        res[m] = R
-    return res
 
 
 # ---------------------------------------------------------------------------

@@ -2,9 +2,11 @@
 
 Provides the matrix arithmetic for Lax matrices (finite Laurent polynomials
 in the spectral parameter lambda with DiffPoly entries), the structural
-checks (tracelessness, sigma-conjugation symmetry, grading) and the 4x4
-tensor-space machinery used by the classical r-matrix identity, including
-the exact divided-difference form of [r_12(lambda-mu), A_1 + A_2].
+checks (tracelessness, sigma-conjugation symmetry, grading), and the
+(lambda, mu)-bigraded 4x4 matrices in which the classical r-matrix identity
+is checked, with the exact divided-difference form of
+[r_12(lambda-mu), A_1 + A_2].  The tests check that form against 4x4 tensor
+products built independently in tests/helpers.py.
 
 lambda is treated as real under conjugation; all identities used here are
 algebraic in lambda so this is a coefficient-level convention.
@@ -15,8 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping
 
-from .ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, KAPPA, _frozen_delattr,
-                       _frozen_setattr)
+from .ringcore import Coeff, DiffPoly, JetVar, KAPPA, _frozen_delattr, _frozen_setattr
 
 Entry2 = tuple  # (e00, e01, e10, e11) of DiffPoly
 
@@ -55,7 +56,7 @@ class LaxMatrix:
     records which independent variable the associated auxiliary linear
     problem differentiates in ('x' or ('t', n)); ``level`` is the declared
     hierarchy level when meaningful.  Immutable and unhashable; ``==``
-    compares the entries only.
+    compares the entries, ``xi`` and ``level``.
     """
 
     __slots__ = ("coeffs", "xi", "level")
@@ -153,7 +154,7 @@ class LaxMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaxMatrix):
             return NotImplemented
-        return (self - other).is_zero()
+        return (self.xi, self.level) == (other.xi, other.level) and (self - other).is_zero()
 
     def trace_zero(self) -> bool:
         return not self.trace()
@@ -216,28 +217,6 @@ class LaxMatrix:
             e = self.coeffs[p]
             lines.append(f"  lam^{p}: [[{e[0]!r}, {e[1]!r}], [{e[2]!r}, {e[3]!r}]]")
         return "\n".join(lines)
-
-
-# -- constructors -------------------------------------------------------------
-
-
-def lax_from_entries(entries: Mapping[int, Entry2], xi="x", level=None) -> LaxMatrix:
-    return LaxMatrix(dict(entries), xi, level)
-
-
-def sigma3(c: Coeff | int = 1) -> LaxMatrix:
-    cc = c if isinstance(c, Coeff) else Coeff.make(c)
-    return LaxMatrix({0: (DiffPoly.const(cc), _Z, _Z, DiffPoly.const(-cc))})
-
-
-def field_matrix() -> LaxMatrix:
-    """Off-diagonal matrix with psibar above and psi below the diagonal."""
-    return LaxMatrix({0: (_Z, DiffPoly.var(PSIBAR), DiffPoly.var(PSI), _Z)})
-
-
-def identity2() -> LaxMatrix:
-    one = DiffPoly.const(1)
-    return LaxMatrix({0: (one, _Z, _Z, one)})
 
 
 # -- LaTeX helpers -------------------------------------------------------------
@@ -341,24 +320,6 @@ class TensorMatrix:
     def __sub__(self, other: "TensorMatrix") -> "TensorMatrix":
         return self + (-other)
 
-    def matmul(self, other: "TensorMatrix") -> "TensorMatrix":
-        acc: dict[tuple[int, int], list] = {}
-        for (l1, m1), e1 in self.coeffs.items():
-            for (l2, m2), e2 in other.coeffs.items():
-                key = (l1 + l2, m1 + m2)
-                cur = acc.setdefault(key, [_Z] * 16)
-                for i in range(4):
-                    for j in range(4):
-                        s = cur[4 * i + j]
-                        for k in range(4):
-                            a = e1[4 * i + k]
-                            b = e2[4 * k + j]
-                            if a.is_zero() or b.is_zero():
-                                continue
-                            s = s + a * b
-                        cur[4 * i + j] = s
-        return TensorMatrix({k: tuple(v) for k, v in acc.items()})
-
     def is_zero(self) -> bool:
         return not self.coeffs
 
@@ -372,43 +333,6 @@ class TensorMatrix:
             for idx in range(16):
                 if not e[idx].is_zero():
                     yield pw, idx // 4, idx % 4, e[idx]
-
-
-def embed1(A: LaxMatrix) -> TensorMatrix:
-    """A(lambda) acting on the first tensor slot: A x I."""
-    out = {}
-    for p, e in A.coeffs.items():
-        t = [_Z] * 16
-        for i in range(2):
-            for j in range(2):
-                for k in range(2):
-                    t[4 * (2 * i + k) + (2 * j + k)] = e[2 * i + j]
-        out[(p, 0)] = tuple(t)
-    return TensorMatrix(out)
-
-
-def embed2(A: LaxMatrix) -> TensorMatrix:
-    """A(mu) acting on the second tensor slot: I x A."""
-    out = {}
-    for p, e in A.coeffs.items():
-        t = [_Z] * 16
-        for i in range(2):
-            for k in range(2):
-                for l in range(2):
-                    t[4 * (2 * i + k) + (2 * i + l)] = e[2 * k + l]
-        out[(0, p)] = tuple(t)
-    return TensorMatrix(out)
-
-
-def permutation() -> TensorMatrix:
-    """P_12 with P(u x v) = v x u."""
-    one = DiffPoly.const(1)
-    t = [_Z] * 16
-    for i in range(2):
-        for k in range(2):
-            # P[(i,k),(j,l)] = delta_il delta_kj
-            t[4 * (2 * i + k) + (2 * k + i)] = one
-    return TensorMatrix({(0, 0): tuple(t)})
 
 
 _PERM_COL = (0, 2, 1, 3)  # column swap realising right-multiplication by P_12

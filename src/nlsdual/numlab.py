@@ -28,9 +28,9 @@ each RK4 step is a 2x2 propagator: for each lambda all of them are built at
 once, as one array per matrix entry, and their ordered product is taken by
 pairwise tree reduction.
 
-t-jets required inside a flow matrix during time-direction transfer are
-obtained by substituting the symbolic evolution rules and evaluating
-x-jets spectrally; they are never computed by numerical t-differentiation.
+A flow matrix enters the transfer with x-jets only: any t-jets in it are
+first replaced by the symbolic evolution rules, so they are never computed
+by numerical t-differentiation.
 """
 
 from __future__ import annotations
@@ -399,7 +399,6 @@ def _ordered_product(P: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction: str,
-                    rules: Mapping[JetVar, DiffPoly] | None = None,
                     station: int = 0, det_tol: float = 1e-6,
                     substeps: int = 2) -> MonodromySample:
     """Fundamental solution of d/ds Psi = M(s; lam) Psi across one period.
@@ -412,14 +411,14 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     ``station`` for every recorded step, and the integration step is two
     recording steps so midpoints are available.
 
-    Any t-jets in M must be eliminated via ``rules`` (symbolic substitution).
+    M must hold x-jets only: substitute the evolution rules for its t-jets
+    first (``LaxMatrix.substitute``).
     """
     if len(lam_values) == 0:
         raise ValueError("lam_values is empty; give at least one spectral parameter")
-    Msub = M.substitute(rules) if rules else M
-    jets = Msub.jets()
+    jets = M.jets()
     if any(v.dt for v in jets):
-        raise ValueError("matrix still contains t-jets; pass the evolution rules")
+        raise ValueError("matrix contains t-jets; substitute the evolution rules first")
     order = max((v.dx for v in jets), default=0)
 
     if direction == "along_x":
@@ -438,7 +437,7 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     else:
         raise ValueError("direction must be 'along_x' or 'along_t'")
 
-    arrays = _entry_arrays(Msub, _jet_values(derivs, jets), data.kappa, derivs[0].size)
+    arrays = _entry_arrays(M, _jet_values(derivs, jets), data.kappa, derivs[0].size)
     # one lambda at a time: stacking them is no faster and multiplies the
     # transient per-step entry arrays by the number of lambdas
     mats = [_ordered_product(_step_propagators(arrays, lam, h)) for lam in lam_values]

@@ -14,7 +14,6 @@ input, so their loops are bounded by the input's jets and cut nothing off.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable, Mapping
@@ -292,10 +291,6 @@ def _t_level(w) -> int | None:
 
 PSI = JetVar("psi")
 PSIBAR = JetVar("psibar")
-
-
-def jet(field: str, dx: int = 0, dt: Iterable[tuple[int, int]] = ()) -> JetVar:
-    return JetVar(field, dx, tuple(dt))
 
 
 # ---------------------------------------------------------------------------
@@ -599,30 +594,6 @@ class DiffPoly:
                     ],
                 })
         return items
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), separators=(",", ":"))
-
-    @staticmethod
-    def from_json_obj(items: list) -> "DiffPoly":
-        acc: dict[Monomial, Coeff] = {}
-        for it in items:
-            c = it["coeff"]
-            coeff = Coeff({int(c["sqrtkappa_pow"]): (
-                Fraction(c["re"][0], c["re"][1]),
-                Fraction(c["im"][0], c["im"][1]),
-            )})
-            mono = tuple(sorted(
-                (JetVar(j["field"], int(j["dx"]), tuple((int(n), int(k)) for n, k in j["dt"]))
-                 for j in it["jets"]),
-                key=_jet_key,
-            ))
-            _accumulate(acc, {mono: coeff})
-        return DiffPoly(acc)
-
-    @staticmethod
-    def from_json(text: str) -> "DiffPoly":
-        return DiffPoly.from_json_obj(json.loads(text))
 
     def __repr__(self) -> str:
         if not self.terms:

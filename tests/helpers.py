@@ -1,14 +1,19 @@
 """Shared builders for the test suite: jets, frozen reference expressions,
-random-polynomial generators."""
+random-polynomial generators, and the reference checks and slow paths that
+the tests compare the library against."""
 
 from __future__ import annotations
 
+import json
 import random
 from fractions import Fraction
 
 import numpy as np
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar
+from nlsdual.brackets import _BASE_FIELDS, _chain_field, _mu_field, leibniz_bracket
+from nlsdual.laxalg import LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2
+from nlsdual.ringcore import (PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
+                              _accumulate, _jet_key)
 
 I = Coeff.i()
 SK = Coeff.make(1, 0, 1)       # sqrt(kappa)
@@ -81,38 +86,31 @@ def random_x_poly(rng: random.Random, n_terms=3, max_deg=3) -> DiffPoly:
 
 # --- frozen flow matrices (exact renditions of the published displays) -----
 
-def _sigma3_const(c: Coeff):
-    from nlsdual.laxalg import lax_from_entries
-    Z = DiffPoly.zero()
-    return lax_from_entries({0: (DiffPoly.const(c), Z, Z, DiffPoly.const(-c))})
-
-
 def printed_v(n: int):
     """The first four flow matrices of the hierarchy, entered literally."""
-    from nlsdual.laxalg import lax_from_entries
     Z = DiffPoly.zero()
     sk = SK
     i = I
     half_i = Coeff.make(0, Fraction(1, 2))
     ik = i * K
     if n == 0:
-        return _sigma3_const(half_i)
+        return sigma3(half_i)
     if n == 1:
-        return lax_from_entries({1: _sigma3_const(half_i).lam_coeff(0),
-                                 0: (Z, v(qj(), -sk), v(pj(), -sk), Z)})
+        return LaxMatrix({1: sigma3(half_i).lam_coeff(0),
+                          0: (Z, v(qj(), -sk), v(pj(), -sk), Z)})
     level0 = (mono([pj(), qj()], ik), v(qj(1), -i * sk),
               v(pj(1), i * sk), mono([pj(), qj()], -ik))
     if n == 2:
-        return lax_from_entries({2: _sigma3_const(half_i).lam_coeff(0),
-                                 1: (Z, v(qj(), -sk), v(pj(), -sk), Z),
-                                 0: level0})
+        return LaxMatrix({2: sigma3(half_i).lam_coeff(0),
+                          1: (Z, v(qj(), -sk), v(pj(), -sk), Z),
+                          0: level0})
     if n == 3:
         X = x_block()
         Y = y_block()
-        return lax_from_entries({3: _sigma3_const(half_i).lam_coeff(0),
-                                 2: (Z, v(qj(), -sk), v(pj(), -sk), Z),
-                                 1: level0,
-                                 0: (X, Y.conjugate(), Y, -X)})
+        return LaxMatrix({3: sigma3(half_i).lam_coeff(0),
+                          2: (Z, v(qj(), -sk), v(pj(), -sk), Z),
+                          1: level0,
+                          0: (X, Y.conjugate(), Y, -X)})
     raise ValueError(n)
 
 
@@ -123,30 +121,29 @@ def printed_dual(m: int):
     -i sqrt(kappa) psi_t2 (the value forced by the recursion; the variant
     carrying an extra -2 kappa^(3/2)|psi|^2 psi is proven inconsistent in
     the test suite)."""
-    from nlsdual.laxalg import lax_from_entries
     Z = DiffPoly.zero()
     sk = SK
     i = I
     mhalf_i = Coeff.make(0, Fraction(-1, 2))
     ik = i * K
     if m == 0:
-        return _sigma3_const(mhalf_i)
+        return sigma3(mhalf_i)
     if m == 1:
-        return lax_from_entries({1: _sigma3_const(mhalf_i).lam_coeff(0),
-                                 0: (Z, v(qj(), sk), v(pj(), sk), Z)})
+        return LaxMatrix({1: sigma3(mhalf_i).lam_coeff(0),
+                          0: (Z, v(qj(), sk), v(pj(), sk), Z)})
     level0 = (mono([pj(), qj()], -ik), v(qj(1), i * sk),
               v(pj(1), -i * sk), mono([pj(), qj()], ik))
     if m == 2:
-        return lax_from_entries({2: _sigma3_const(mhalf_i).lam_coeff(0),
-                                 1: (Z, v(qj(), sk), v(pj(), sk), Z),
-                                 0: level0})
+        return LaxMatrix({2: sigma3(mhalf_i).lam_coeff(0),
+                          1: (Z, v(qj(), sk), v(pj(), sk), Z),
+                          0: level0})
     if m == 3:
         Phi = x_block()
         Om = v(pj(0, [(2, 1)]), -i * sk)
-        return lax_from_entries({3: _sigma3_const(mhalf_i).lam_coeff(0),
-                                 2: (Z, v(qj(), sk), v(pj(), sk), Z),
-                                 1: level0,
-                                 0: (-Phi, -Om.conjugate(), -Om, Phi)})
+        return LaxMatrix({3: sigma3(mhalf_i).lam_coeff(0),
+                          2: (Z, v(qj(), sk), v(pj(), sk), Z),
+                          1: level0,
+                          0: (-Phi, -Om.conjugate(), -Om, Phi)})
     raise ValueError(m)
 
 
@@ -165,7 +162,6 @@ def compositions(n: int, j: int):
 def alternating_products(W, n: int):
     """sum_{j=1}^n (-1)^j sum over ordered compositions m_1+..+m_j = n of
     W^(m_1) ... W^(m_j); this is the 1/mu^n coefficient of (1+W)^-1 - 1."""
-    from nlsdual.laxalg import _add2, _mul2, _scale2, _zeros2
     total = _zeros2()
     for j in range(1, n + 1):
         sgn = (-1) ** j
@@ -195,7 +191,6 @@ def leibniz_bracket_per_entry(f: DiffPoly, g: DiffPoly, table) -> DiffPoly:
 def matrix_bracket_per_pair(A, B, table):
     """{A_1(lambda), B_2(mu)} with one per-entry Leibniz bracket for every
     pair of nonzero entries, both of them differentiated afresh each time."""
-    from nlsdual.laxalg import TensorMatrix
     Z = DiffPoly.zero()
     acc: dict[tuple[int, int], list] = {}
     for pa, ea in A.coeffs.items():
@@ -328,3 +323,239 @@ def evolve_nls_per_stage(initial, t_span, steps: int):
         psi = psi + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         fine.append(psi.copy())
     return np.array(fine)
+
+
+# --- Lax matrices and the independent 4x4 tensor-product route ---------------
+
+def sigma3(c: Coeff | int = 1) -> LaxMatrix:
+    cc = c if isinstance(c, Coeff) else Coeff.make(c)
+    Z = DiffPoly.zero()
+    return LaxMatrix({0: (DiffPoly.const(cc), Z, Z, DiffPoly.const(-cc))})
+
+
+def field_matrix() -> LaxMatrix:
+    """Off-diagonal matrix with psibar above and psi below the diagonal."""
+    Z = DiffPoly.zero()
+    return LaxMatrix({0: (Z, DiffPoly.var(PSIBAR), DiffPoly.var(PSI), Z)})
+
+
+def tensor_matmul(A: TensorMatrix, B: TensorMatrix) -> TensorMatrix:
+    """The product of two (lambda, mu)-bigraded 4x4 matrices."""
+    Z = DiffPoly.zero()
+    acc: dict[tuple[int, int], list] = {}
+    for (l1, m1), e1 in A.coeffs.items():
+        for (l2, m2), e2 in B.coeffs.items():
+            key = (l1 + l2, m1 + m2)
+            cur = acc.setdefault(key, [Z] * 16)
+            for i in range(4):
+                for j in range(4):
+                    s = cur[4 * i + j]
+                    for k in range(4):
+                        a = e1[4 * i + k]
+                        b = e2[4 * k + j]
+                        if a.is_zero() or b.is_zero():
+                            continue
+                        s = s + a * b
+                    cur[4 * i + j] = s
+    return TensorMatrix({k: tuple(v) for k, v in acc.items()})
+
+
+def embed1(A: LaxMatrix) -> TensorMatrix:
+    """A(lambda) acting on the first tensor slot: A x I."""
+    Z = DiffPoly.zero()
+    out = {}
+    for p, e in A.coeffs.items():
+        t = [Z] * 16
+        for i in range(2):
+            for j in range(2):
+                for k in range(2):
+                    t[4 * (2 * i + k) + (2 * j + k)] = e[2 * i + j]
+        out[(p, 0)] = tuple(t)
+    return TensorMatrix(out)
+
+
+def embed2(A: LaxMatrix) -> TensorMatrix:
+    """A(mu) acting on the second tensor slot: I x A."""
+    Z = DiffPoly.zero()
+    out = {}
+    for p, e in A.coeffs.items():
+        t = [Z] * 16
+        for i in range(2):
+            for k in range(2):
+                for l in range(2):
+                    t[4 * (2 * i + k) + (2 * i + l)] = e[2 * k + l]
+        out[(0, p)] = tuple(t)
+    return TensorMatrix(out)
+
+
+def permutation() -> TensorMatrix:
+    """P_12 with P(u x v) = v x u."""
+    Z = DiffPoly.zero()
+    one = DiffPoly.const(1)
+    t = [Z] * 16
+    for i in range(2):
+        for k in range(2):
+            # P[(i,k),(j,l)] = delta_il delta_kj
+            t[4 * (2 * i + k) + (2 * k + i)] = one
+    return TensorMatrix({(0, 0): tuple(t)})
+
+
+# --- the W-series: Riccati residual and reality ---------------------------------
+
+def riccati_residual(X: LaxMatrix, W) -> dict[int, tuple]:
+    """Order-by-order residual of W_xi - X_d W + W X_d - X_o + W X_o W.
+
+    Keys are lambda-powers from N down to -(K-N); with a consistent series
+    every available order vanishes.  A nonzero residual is returned, not
+    raised: it is data for the verification report.
+    """
+    N = X.degree()
+    K = W.order
+    Xd = {j: X.diag_part().lam_coeff(j) for j in range(N + 1)}
+    Xo = {j: X.off_part().lam_coeff(j) for j in range(N + 1)}
+
+    def d_xi(e):
+        return tuple(x.d_along(X.xi) for x in e)
+
+    res = {}
+    lo = -(K - N) if K > N else 0
+    for m in range(N, lo - 1, -1):
+        R = _zeros2()
+        if m <= -1:
+            R = _add2(R, d_xi(W.w(-m)))
+        for j in range(N + 1):
+            k = j - m
+            if 1 <= k <= K:
+                Xdj = Xd.get(j, _zeros2())
+                R = _add2(R, _scale2(_add2(_mul2(Xdj, W.w(k)), _scale2(_mul2(W.w(k), Xdj), -1)), -1))
+        if 0 <= m <= N:
+            R = _add2(R, _scale2(Xo.get(m, _zeros2()), -1))
+        for j in range(N + 1):
+            tot = j - m
+            for a in range(1, tot):
+                b = tot - a
+                if 1 <= b <= K and a <= K:
+                    R = _add2(R, _mul2(_mul2(W.w(a), Xo.get(j, _zeros2())), W.w(b)))
+        res[m] = R
+    return res
+
+
+def lower_component(W, n: int) -> DiffPoly:
+    """The scalar w^(n) in W^(n) = i sqrt(kappa) [[0, -conj(w)], [w, 0]]."""
+    c = (I * SQRT_KAPPA).inverse()
+    return W.w(n)[2].scale(c)
+
+
+def check_reality(W) -> bool:
+    """W^(n) = i sqrt(kappa) [[0, -wbar], [w, 0]] with wbar = conj(w)."""
+    for e in W.entries:
+        if not (e[0].is_zero() and e[3].is_zero()):
+            return False
+        w = e[2].scale((I * SQRT_KAPPA).inverse())
+        want_upper = -w.conjugate().scale(I * SQRT_KAPPA)
+        if not (e[1] - want_upper).is_zero():
+            return False
+    return True
+
+
+# --- bracket tables and the Ostrogradski reduction ------------------------------
+
+def is_antisymmetric(table) -> bool:
+    return all((table.entry(b, a) + v).is_zero() for (a, b), v in table.entries.items())
+
+
+def jacobi_defect(table, a: JetVar, b: JetVar, c: JetVar) -> DiffPoly:
+    """{a,{b,c}} + {b,{c,a}} + {c,{a,b}} for coordinate triples."""
+    A, B, C = (DiffPoly.var(v) for v in (a, b, c))
+    out = leibniz_bracket(A, leibniz_bracket(B, C, table), table)
+    out = out + leibniz_bracket(B, leibniz_bracket(C, A, table), table)
+    out = out + leibniz_bracket(C, leibniz_bracket(A, B, table), table)
+    return out
+
+
+def full_euler(L: DiffPoly, fld: str, level: int) -> DiffPoly:
+    """Variational derivative over both x and t_level derivatives.
+
+    The sum over the x-orders k present in L of (-d_x)^k applied to the
+    t_level Euler operator at the k-th x-jet of ``fld``, so no order is cut
+    off; a jet of ``fld`` that is not an x/t_level-derivative raises.
+    """
+    w = ("t", level)
+    orders = set()
+    for v in L.jets():
+        if v.field == fld:
+            if v.prolongation_depth(JetVar(fld, v.dx), w) is None:
+                raise ValueError(f"jet {v} is not an x/t_{level} derivative of {fld}")
+            orders.add(v.dx)
+    terms = []
+    for k in orders:
+        term = L.euler_along(JetVar(fld, k), w)
+        for _ in range(k):
+            term = -term.d_x()
+        terms.append(term)
+    return DiffPoly.sum(terms)
+
+
+def multipliers_from_euler_lagrange(red) -> dict[JetVar, DiffPoly]:
+    """Solve the chain-field variational equations of a reduction for the multipliers."""
+    out = {}
+    for k in range(1, red.order):
+        for j in range(2):
+            mu = JetVar(_mu_field(k, j), 0)
+            el = full_euler(red.lagrangian, _chain_field(k, j), red.level)
+            c = el.diff(mu).coefficient(())
+            if c.is_zero():
+                raise ValueError("multiplier does not appear in its variational equation")
+            rest = el - DiffPoly.var(mu, c)
+            out[mu] = rest.scale(-(c.inverse()))
+    return out
+
+
+def euler_lagrange_check(red) -> bool:
+    """The auxiliary variational equations reproduce the original ones.
+
+    Substituting the constraints (chain fields -> x-jets) and the solved
+    multipliers into the base-field equations must give exactly the
+    Euler-Lagrange equations of the original Lagrangian.
+    """
+    mus = multipliers_from_euler_lagrange(red)
+    back = _back_to_jets(red)
+    for j, fld in enumerate(_BASE_FIELDS):
+        el = full_euler(red.lagrangian, fld, red.level)
+        el = el.substitute(mus).substitute(back)
+        orig = full_euler(red.original, ("psi", "psibar")[j], red.level)
+        if not (el - orig).is_zero():
+            return False
+    return True
+
+
+def _back_to_jets(red) -> dict[JetVar, DiffPoly]:
+    rules = {}
+    for j, psi_name in enumerate(("psi", "psibar")):
+        rules[JetVar(_BASE_FIELDS[j], 0)] = DiffPoly.var(JetVar(psi_name, 0))
+        for k in range(1, red.order):
+            rules[JetVar(_chain_field(k, j), 0)] = DiffPoly.var(JetVar(psi_name, k))
+    return rules
+
+
+# --- the JSON reader of DiffPoly.to_json_obj -------------------------------------
+
+def poly_from_json_obj(items: list) -> DiffPoly:
+    acc: dict[Monomial, Coeff] = {}
+    for it in items:
+        c = it["coeff"]
+        coeff = Coeff({int(c["sqrtkappa_pow"]): (
+            Fraction(c["re"][0], c["re"][1]),
+            Fraction(c["im"][0], c["im"][1]),
+        )})
+        mono = tuple(sorted(
+            (JetVar(j["field"], int(j["dx"]), tuple((int(n), int(k)) for n, k in j["dt"]))
+             for j in it["jets"]),
+            key=_jet_key,
+        ))
+        _accumulate(acc, {mono: coeff})
+    return DiffPoly(acc)
+
+
+def poly_from_json(text: str) -> DiffPoly:
+    return poly_from_json_obj(json.loads(text))

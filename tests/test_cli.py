@@ -135,6 +135,15 @@ def test_sim_rejects_a_non_finite_kappa(capsys, case, kappa):
     assert rep["status"] == "error" and "--kappa must be finite" in rep["error"]
 
 
+@pytest.mark.parametrize("tol", ["inf", "nan", "0"])
+def test_sim_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
+    # drift < inf would pass whatever the drift, drift < nan or < 0 never
+    code, rep = run(capsys, "sim", "--check", "charges", "--tol", tol,
+                    "--grid", "32", "--steps", "200", "--t-end", "0.1")
+    assert code == 2
+    assert rep["status"] == "error" and "--tol" in rep["error"]
+
+
 @pytest.mark.parametrize("t_end", ["nan", "inf"])
 def test_sim_rejects_a_non_finite_time_span(capsys, t_end):
     code, rep = run(capsys, "sim", "--t-end", t_end, "--grid", "32", "--steps", "10")
@@ -204,7 +213,6 @@ for argv in json.loads(sys.argv[1]):
 
 def _python(*args):
     env = dict(os.environ, PYTHONPATH=str(SRC))
-    env.pop("NLSDUAL_OUTDIR", None)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True,
                           timeout=120)
 

@@ -7,13 +7,14 @@ import pytest
 import sympy as sp
 
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
-from nlsdual.laxalg import LaxMatrix, lax_from_entries
+from nlsdual.laxalg import LaxMatrix
 from nlsdual.hierarchy import (_neumann_series, build_u, conserved_density, density_ladder,
                                dual_hierarchy, evolution_rules, generate_partner,
-                               generating_function_expand, on_shell, riccati_residual, solve_W,
+                               generating_function_expand, on_shell, solve_W,
                                solve_evolution, zero_curvature_residual, WSeries)
 from helpers import (pj, qj, v, mono, cf, x_block, y_block, nls_hamiltonian_density,
-                     printed_v, printed_dual, _sigma3_const, alternating_products)
+                     printed_v, printed_dual, sigma3, alternating_products, check_reality,
+                     lower_component, riccati_residual)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -43,14 +44,14 @@ def test_w_first_orders_frozen():
     # frozen values computed with the oracle: w1 = psi, w2 = -i psi_x,
     # w3 = kappa psi^2 psibar - psi_xx
     W = solve_W(U, 3)
-    assert W.lower_component(1) == v(pj())
-    assert W.lower_component(2) == v(pj(1), cf(0, -1))
-    assert W.lower_component(3) == mono([pj(), pj(), qj()], cf(1, 0, 2)) - v(pj(2))
+    assert lower_component(W, 1) == v(pj())
+    assert lower_component(W, 2) == v(pj(1), cf(0, -1))
+    assert lower_component(W, 3) == mono([pj(), pj(), qj()], cf(1, 0, 2)) - v(pj(2))
 
 
 def test_w_reality_and_homogeneity():
     W = solve_W(U, 6)
-    assert W.check_reality()
+    assert check_reality(W)
     for n in range(1, 7):
         for x in W.w(n):
             assert x.is_zero() or x.scaling_dimension() == n
@@ -59,12 +60,12 @@ def test_w_reality_and_homogeneity():
 def test_w_dual_level_one_dimension():
     V2 = generate_partner(U, 1, 2)
     W = solve_W(V2, 1)
-    assert W.check_reality()
-    assert W.lower_component(1) == v(pj())  # dimension-1 entries built from psi
+    assert check_reality(W)
+    assert lower_component(W, 1) == v(pj())  # dimension-1 entries built from psi
 
 
 def test_solve_w_requires_sigma3_leading():
-    bad = lax_from_entries({1: (DiffPoly.const(1), Z, Z, DiffPoly.const(1))})
+    bad = LaxMatrix({1: (DiffPoly.const(1), Z, Z, DiffPoly.const(1))})
     with pytest.raises(ValueError):
         solve_W(bad, 2)
 
@@ -167,7 +168,7 @@ def test_generating_function_order_zero_and_gamma_flip():
     gen_p = generating_function_expand(U, 1, 4)
     gen_m = generating_function_expand(U, -1, 4)
     half_i = HALF_I
-    assert (gen_p[0] - _sigma3_const(half_i)).is_zero()
+    assert (gen_p[0] - sigma3(half_i)).is_zero()
     for a, b in zip(gen_p, gen_m):
         assert (a + b).is_zero()  # gamma -> -gamma flips every order
 
@@ -232,7 +233,7 @@ def test_zero_curvature_residual_vanishes_after_substitution():
 def test_solve_evolution_rejects_bad_pair():
     V2 = generate_partner(U, 1, 2)
     # deliberately corrupt the partner so no consistent flow exists
-    bad = V2 + lax_from_entries({0: (mono([pj(), qj()]), Z, Z, -mono([pj(), qj()]))})
+    bad = V2 + LaxMatrix({0: (mono([pj(), qj()]), Z, Z, -mono([pj(), qj()]))})
     with pytest.raises(ValueError):
         solve_evolution(U, bad)
 
@@ -270,7 +271,7 @@ def test_dual_level_three_misprint_variant_breaks_zero_curvature():
     V2 = generate_partner(U, 1, 2)
     V3 = generate_partner(U, 1, 3)
     extra = mono([pj(), pj(), qj()], cf(2, 0, 3))
-    variant = D3 + lax_from_entries({0: (Z, extra.conjugate(), extra, Z)})
+    variant = D3 + LaxMatrix({0: (Z, extra.conjugate(), extra, Z)})
     assert not (on_shell(variant, rules) + V3).is_zero()
 
     def lam2_coefficient_of_curvature(Y):

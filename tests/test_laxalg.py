@@ -7,11 +7,11 @@ import random
 import pytest
 
 from nlsdual.ringcore import Coeff, DiffPoly, JetVar
-from nlsdual.laxalg import (LaxMatrix, TensorMatrix, divided_difference, embed1, embed2,
-                            field_matrix, identity2, lax_from_entries, permutation,
-                            rmatrix_bracket_rhs, sigma3)
-from nlsdual.hierarchy import WSeries, build_u, generate_partner, solve_W
-from helpers import pj, qj, v, mono, cf, random_poly
+from nlsdual.laxalg import LaxMatrix, TensorMatrix, divided_difference, rmatrix_bracket_rhs
+from nlsdual.hierarchy import (WSeries, build_u, generate_partner, generating_function_expand,
+                               solve_W)
+from helpers import (pj, qj, v, mono, cf, random_poly, embed1, embed2, field_matrix,
+                     permutation, sigma3, tensor_matmul)
 
 Z = DiffPoly.zero()
 
@@ -75,7 +75,7 @@ def test_grading_of_commutator():
 def test_sigma2_branch():
     # sqrt(kappa)(psibar E12 - psi E21) is symmetric in the kappa<0 branch only
     sk = Coeff.make(1, 0, 1)
-    M = lax_from_entries({0: (Z, v(qj(), sk), v(pj(), -sk), Z)})
+    M = LaxMatrix({0: (Z, v(qj(), sk), v(pj(), -sk), Z)})
     assert M.sigma_symmetric("s2")
     assert not M.sigma_symmetric("s1")
 
@@ -84,7 +84,7 @@ def test_sigma2_branch():
 
 def test_permutation_squares_to_identity():
     P = permutation()
-    PP = P.matmul(P)
+    PP = tensor_matmul(P, P)
     ident = TensorMatrix({(0, 0): tuple(DiffPoly.const(1) if i % 5 == 0 else Z for i in range(16))})
     assert (PP - ident).is_zero()
 
@@ -92,11 +92,11 @@ def test_permutation_squares_to_identity():
 def test_permutation_swaps_slots():
     s3 = sigma3()
     P = permutation()
-    assert (embed1(s3).matmul(P) - P.matmul(embed2(s3))).is_zero()
+    assert (tensor_matmul(embed1(s3), P) - tensor_matmul(P, embed2(s3))).is_zero()
     rng = random.Random(3)
     A = random_lax(rng, deg=1)
     # P A1 P = A2 needs the mu-grading moved; compare at fixed powers
-    lhs = P.matmul(embed1(A)).matmul(P)
+    lhs = tensor_matmul(tensor_matmul(P, embed1(A)), P)
     rhs = TensorMatrix({(0, p): e for (p, _), e in embed2(A).coeffs.items()})
     # embed2 grades in mu already; embed1 in lambda: P A1 P swaps the slot but
     # keeps the lambda grading
@@ -163,7 +163,7 @@ def test_rmatrix_rhs_against_bruteforce_products():
         for (a, b), e in DA.items():
             M1 = embed1(LaxMatrix({0: e}))
             M2 = embed2(LaxMatrix({0: e}))
-            term = (M1 - TensorMatrix({(0, 0): M2.coeffs[(0, 0)]})).matmul(P)
+            term = tensor_matmul(M1 - TensorMatrix({(0, 0): M2.coeffs[(0, 0)]}), P)
             shifted = TensorMatrix({(a, b): ee for (_, _), ee in term.coeffs.items()})
             acc = acc + shifted
         kap = Coeff.make(1, 0, 2)
@@ -172,7 +172,7 @@ def test_rmatrix_rhs_against_bruteforce_products():
 
 
 def test_rmatrix_rhs_rejects_laurent():
-    M = lax_from_entries({-1: (DiffPoly.const(1), Z, Z, DiffPoly.const(-1))})
+    M = LaxMatrix({-1: (DiffPoly.const(1), Z, Z, DiffPoly.const(-1))})
     with pytest.raises(ValueError):
         rmatrix_bracket_rhs(M, 1)
 
@@ -224,7 +224,7 @@ def test_value_object_constructors_and_repr():
     B = LaxMatrix(coeffs={0: e}, xi=("t", 2), level=0)
     assert A.coeffs == B.coeffs == {0: e}
     assert (A.xi, A.level) == ("x", None) and (B.xi, B.level) == (("t", 2), 0)
-    assert A == B                       # equality compares entries only
+    assert A != B and (A - B).is_zero()  # equal entries, other xi and level
     assert repr(B) == "LaxMatrix(xi=('t', 2), level=0)\n  lam^0: [[(1), 0], [0, (-1)]]"
 
     t = (one,) + (Z,) * 15
@@ -238,3 +238,14 @@ def test_value_object_constructors_and_repr():
     W = solve_W(U, 1)
     assert WSeries(U, W.entries) == WSeries(X=U, entries=W.entries) == W
     assert repr(W) == f"WSeries(X={U!r}, entries={W.entries!r})"
+
+
+def test_equality_compares_direction_and_level():
+    # the two partner routes agree on the labels as well as the entries
+    U = build_u()
+    gen = generating_function_expand(U, +1, 5)
+    for n in range(5):
+        V = generate_partner(U, +1, n)
+        assert V == gen[n] and (V.xi, V.level) == (("t", n), n)
+        assert V != LaxMatrix(V.coeffs, xi="x", level=n)
+        assert V != LaxMatrix(V.coeffs, xi=V.xi, level=n + 1)

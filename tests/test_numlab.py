@@ -335,7 +335,7 @@ def test_transfer_along_t_rejects_a_non_finite_trajectory():
 def test_transfer_rejects_surviving_t_jets():
     D3 = __import__("nlsdual.hierarchy", fromlist=["dual_hierarchy"]).dual_hierarchy(2, 3)
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="substitute the evolution rules first"):
         N.transfer_matrix(D3, st, [1.0], "along_x")
 
 
