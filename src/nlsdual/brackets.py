@@ -233,7 +233,7 @@ def verify_rmatrix(A: LaxMatrix, table: BracketTable, gamma: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def byparts_normal_form(h: DiffPoly, max_steps: int = 400) -> DiffPoly:
+def byparts_normal_form(h: DiffPoly) -> DiffPoly:
     """Equivalent density (same Euler derivatives) in the balanced form.
 
     First every monomial whose single highest-order jet sits at least two
@@ -241,13 +241,13 @@ def byparts_normal_form(h: DiffPoly, max_steps: int = 400) -> DiffPoly:
     pairs whose sum is a total derivative are antisymmetrised.  For the
     hierarchy densities this lands on the form whose top term is
     d^p psibar d^p psi (even level) or i(d^p psibar d^(p+1) psi - c.c.)
-    (odd level).
+    (odd level).  Raises if the depression takes more than 400 steps.
     """
     for v in h.jets():
         if v.dt:
             raise ValueError("normal form applies to x-jet densities only")
     cur = h
-    for _ in range(max_steps):
+    for _ in range(400):
         target = None
         for mono in sorted(cur.terms, key=lambda m: tuple(v.sort_key() for v in m)):
             if not mono:

@@ -157,6 +157,8 @@ def cmd_sim(args) -> int:
     if not (math.isfinite(args.tol) and args.tol > 0):
         # drift < inf passes whatever the drift; drift < nan or < 0 never passes
         raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    if args.csv and args.check != "charges":
+        raise ValueError("--csv writes the charge time series, so it needs --check charges")
     x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
         if not kappa > 0:
@@ -242,24 +244,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp):
         sp.add_argument("--out", default=None, help="write the JSON report here")
+
+    def formatted(sp):
+        # only the commands that print a matrix or density read --format
+        common(sp)
         sp.add_argument("--format", choices=("json", "latex", "text"), default="text")
 
     sp = sub.add_parser("gen-v", help="generate a flow matrix of the hierarchy")
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--gamma", type=int, choices=(1, -1), default=1)
-    common(sp)
+    formatted(sp)
     sp.set_defaults(func=cmd_gen_v)
 
     sp = sub.add_parser("gen-dual", help="generate a dual-hierarchy matrix")
     sp.add_argument("--base", type=int, default=2)
     sp.add_argument("--level", type=int, required=True)
     sp.add_argument("--on-shell", action="store_true", help="rewrite t-jets into x-jets")
-    common(sp)
+    formatted(sp)
     sp.set_defaults(func=cmd_gen_dual)
 
     sp = sub.add_parser("charges", help="conserved-density ladder")
     sp.add_argument("--count", type=int, default=4)
-    common(sp)
+    formatted(sp)
     sp.set_defaults(func=cmd_charges)
 
     sp = sub.add_parser("verify-zc", help="zero-curvature evolution extraction")

@@ -92,7 +92,7 @@ def _leading_sigma3_scale(X: LaxMatrix) -> Coeff:
 
 
 def solve_W(X: LaxMatrix, K: int) -> WSeries:
-    """Solve the two recursion families for W^(1)..W^(K).
+    """Solve for W^(1)..W^(K), one lambda-order of the Riccati equation at a time.
 
     The sign of the quadratic W*X_o*W sums is fixed by consistency with the
     matrix Riccati equation W_xi = X_d W - W X_d + X_o - W X_o W (the tests
@@ -121,29 +121,19 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
     def comm(A: Entry2, B: Entry2) -> Entry2:
         return _add2(_mul2(A, B), _scale2(_mul2(B, A), -1))
 
+    # order n reads [c sigma_3, W^(n)] = R with
+    #   R = seed - sum_(q=1..min(n-1,N)) [X_d^(N-q), W^(n-q)]
+    #       + sum_(p=0..N) sum_(a+b=n-N+p; a,b>=1) W^(a) X_o^(p) W^(b),
+    # where the seed is -X_o^(N-n) up to order N and d_xi W^(n-N) beyond it
     W: dict[int, Entry2] = {}
     for n in range(1, K + 1):
-        if n <= N:
-            R = _scale2(Xo.get(N - n, _zeros2()), -1)
-            for qq in range(1, n):
-                R = _add2(R, _scale2(comm(Xd.get(N - qq, _zeros2()), W[n - qq]), -1))
-            for pp in range(N + 1):
-                tot = pp - N + n
-                for a in range(1, tot):
-                    b = tot - a
-                    if b >= 1:
-                        R = _add2(R, _mul2(_mul2(W[a], Xo.get(pp, _zeros2())), W[b]))
-        else:
-            m = n - N
-            R = d_xi(W[m])
-            for k in range(1, N + 1):
-                R = _add2(R, _scale2(comm(Xd.get(N - k, _zeros2()), W[N + m - k]), -1))
-            for pp in range(N + 1):
-                tot = m + pp
-                for a in range(1, tot):
-                    b = tot - a
-                    if 1 <= b and a in W and b in W:
-                        R = _add2(R, _mul2(_mul2(W[a], Xo.get(pp, _zeros2())), W[b]))
+        R = _scale2(Xo[N - n], -1) if n <= N else d_xi(W[n - N])
+        for q in range(1, min(n - 1, N) + 1):
+            R = _add2(R, _scale2(comm(Xd[N - q], W[n - q]), -1))
+        for pp in range(N + 1):
+            tot = pp - N + n
+            for a in range(1, tot):
+                R = _add2(R, _mul2(_mul2(W[a], Xo[pp]), W[tot - a]))
         W[n] = ad_inv(R)
     return WSeries(X, tuple(W[n] for n in range(1, K + 1)))
 
@@ -347,8 +337,8 @@ def dual_hierarchy(base_level: int, m: int, rewrite_on_shell: bool = False) -> L
     V = generate_partner(U, +1, base_level)
     dual = generate_partner(V, -1, m)
     if rewrite_on_shell:
-        dual = on_shell(dual, evolution_rules(base_level))
-    return LaxMatrix(dual.coeffs, xi=dual.xi, level=m)
+        dual = on_shell(dual, solve_evolution(U, V))
+    return dual
 
 
 def on_shell(A: LaxMatrix, rules: dict[JetVar, DiffPoly]) -> LaxMatrix:

@@ -159,38 +159,26 @@ class LaxMatrix:
     def trace_zero(self) -> bool:
         return not self.trace()
 
-    def sigma_symmetric(self, branch: str = "s1") -> bool:
-        """Entrywise conjugation with lambda fixed equals sigma*X*sigma.
-
-        branch 's1' is the kappa > 0 case; 's2' the kappa < 0 case.
-        """
-        for p, e in self.coeffs.items():
-            a, b, c, d = e
-            if branch == "s1":
-                # sigma1 M sigma1 = [[d, c], [b, a]]
-                want = (d, c, b, a)
-                ok = all((x.conjugate() - y).is_zero() for x, y in zip((a, b, c, d), want))
-            elif branch == "s2":
-                # sigma2 M sigma2 = [[d, -c], [-b, a]]
-                want = (d, -c, -b, a)
-                ok = all((x.conjugate() - y).is_zero() for x, y in zip((a, b, c, d), want))
-            else:
-                raise ValueError(f"unknown branch {branch!r}")
-            if not ok:
+    def sigma_symmetric(self) -> bool:
+        """Entrywise conjugation with lambda fixed equals sigma_1 X sigma_1,
+        the kappa > 0 symmetry (Coeff.conjugate keeps sqrt(kappa) real)."""
+        for a, b, c, d in self.coeffs.values():
+            # sigma1 M sigma1 = [[d, c], [b, a]]
+            if not all((x.conjugate() - y).is_zero() for x, y in zip((a, b, c, d), (d, c, b, a))):
                 return False
         return True
 
-    def graded(self, level: int | None = None) -> bool:
-        """Each lambda^j coefficient homogeneous of scaling dimension level-j."""
-        lvl = self.level if level is None else level
-        if lvl is None:
+    def graded(self) -> bool:
+        """Each lambda^j coefficient homogeneous of scaling dimension level-j,
+        for the declared ``level``."""
+        if self.level is None:
             raise ValueError("no level declared")
         for p, e in self.coeffs.items():
             for x in e:
                 d = x.scaling_dimension()
                 if x.is_zero():
                     continue
-                if d is None or d != lvl - p:
+                if d is None or d != self.level - p:
                     return False
         return True
 

@@ -51,9 +51,9 @@ class Coeff:
 
     # -- constructors ------------------------------------------------------
     @staticmethod
-    def make(re=0, im=0, skpow: int = 0) -> "Coeff":
-        """Coefficient (re + i*im) * sqrt(kappa)**skpow."""
-        return Coeff({skpow: (_frac(re), _frac(im))})
+    def make(re=0, im=0) -> "Coeff":
+        """Coefficient re + i*im; SQRT_KAPPA and KAPPA carry the powers of sqrt(kappa)."""
+        return Coeff({0: (_frac(re), _frac(im))})
 
     @staticmethod
     def zero() -> "Coeff":
@@ -232,16 +232,13 @@ class JetVar:
         d[n] = d.get(n, 0) + 1
         return JetVar(self.field, self.dx, tuple(sorted(d.items())))
 
-    def prolong_along(self, w, k: int = 1) -> "JetVar":
-        """This jet prolonged k times along 'x' or ('t', n)."""
+    def prolong_along(self, w) -> "JetVar":
+        """This jet prolonged once along 'x' or ('t', n)."""
         n = _t_level(w)
-        v = self
-        for _ in range(k):
-            v = v.prolong_x() if n is None else v.prolong_t(n)
-        return v
+        return self.prolong_x() if n is None else self.prolong_t(n)
 
     def prolongation_depth(self, base: "JetVar", w) -> int | None:
-        """The k with self == base.prolong_along(w, k), or None if there is none."""
+        """The k with base prolonged k times along w equal to this jet, else None."""
         n = _t_level(w)
         if self.field != base.field:
             return None
@@ -530,17 +527,17 @@ class DiffPoly:
         return DiffPoly.sum(terms)
 
     # -- substitution ------------------------------------------------------
-    def substitute(self, rules: Mapping[JetVar, "DiffPoly"], max_passes: int = 64) -> "DiffPoly":
+    def substitute(self, rules: Mapping[JetVar, "DiffPoly"]) -> "DiffPoly":
         """Exact substitution with automatic prolongation of the rules.
 
         A rule for e.g. the first t_2-jet of psi induces rules for all its
         x/t-prolongations by total differentiation.  Raises on rule sets that
-        never terminate (cyclic).
+        do not settle within 64 passes (cyclic ones).
         """
         if not rules:
             return self
         cur = self
-        for _ in range(max_passes):
+        for _ in range(64):
             needed = {}
             for v in cur.jets():
                 if v in rules:

@@ -12,13 +12,10 @@ import numpy as np
 
 from nlsdual.brackets import _BASE_FIELDS, _chain_field, _mu_field, leibniz_bracket
 from nlsdual.laxalg import LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2
-from nlsdual.ringcore import (PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
+from nlsdual.ringcore import (KAPPA, PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
                               _accumulate, _jet_key)
 
 I = Coeff.i()
-SK = Coeff.make(1, 0, 1)       # sqrt(kappa)
-K = Coeff.make(1, 0, 2)        # kappa
-K32 = Coeff.make(1, 0, 3)      # kappa^(3/2)
 
 
 def pj(dx=0, t=()) -> JetVar:
@@ -38,8 +35,12 @@ def mono(jets, c=1) -> DiffPoly:
 
 
 def cf(re=0, im=0, skpow=0) -> Coeff:
-    return Coeff.make(Fraction(re) if not isinstance(re, Fraction) else re,
-                      Fraction(im) if not isinstance(im, Fraction) else im, skpow)
+    """(re + i*im) * sqrt(kappa)**skpow."""
+    c = Coeff.make(Fraction(re), Fraction(im))
+    root = SQRT_KAPPA if skpow > 0 else SQRT_KAPPA.inverse()
+    for _ in range(abs(skpow)):
+        c = c * root
+    return c
 
 
 # --- frozen reference expressions (exact forms of the printed objects) -----
@@ -62,9 +63,9 @@ def nls_hamiltonian_density() -> DiffPoly:
 def random_coeff(rng: random.Random) -> Coeff:
     c = Coeff.zero()
     for _ in range(rng.randint(1, 2)):
-        c = c + Coeff.make(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                           Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
-                           rng.randint(-1, 2))
+        c = c + cf(Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   Fraction(rng.randint(-3, 3), rng.randint(1, 3)),
+                   rng.randint(-1, 2))
     return c
 
 
@@ -89,10 +90,10 @@ def random_x_poly(rng: random.Random, n_terms=3, max_deg=3) -> DiffPoly:
 def printed_v(n: int):
     """The first four flow matrices of the hierarchy, entered literally."""
     Z = DiffPoly.zero()
-    sk = SK
+    sk = SQRT_KAPPA
     i = I
     half_i = Coeff.make(0, Fraction(1, 2))
-    ik = i * K
+    ik = i * KAPPA
     if n == 0:
         return sigma3(half_i)
     if n == 1:
@@ -122,10 +123,10 @@ def printed_dual(m: int):
     carrying an extra -2 kappa^(3/2)|psi|^2 psi is proven inconsistent in
     the test suite)."""
     Z = DiffPoly.zero()
-    sk = SK
+    sk = SQRT_KAPPA
     i = I
     mhalf_i = Coeff.make(0, Fraction(-1, 2))
-    ik = i * K
+    ik = i * KAPPA
     if m == 0:
         return sigma3(mhalf_i)
     if m == 1:

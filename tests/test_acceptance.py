@@ -14,15 +14,14 @@ import time
 from fractions import Fraction
 
 import numpy as np
-import pytest
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar
+from nlsdual.ringcore import Coeff, DiffPoly
 from nlsdual.laxalg import LaxMatrix
 from nlsdual import brackets as B
 from nlsdual import hierarchy as H
 from nlsdual import numlab as N
 from helpers import (pj, qj, v, mono, cf, nls_hamiltonian_density, printed_v,
-                     printed_dual, random_poly, x_block, y_block, is_antisymmetric,
+                     printed_dual, random_poly, is_antisymmetric,
                      jacobi_defect, riccati_residual)
 
 I = Coeff.i()

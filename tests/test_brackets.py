@@ -17,7 +17,7 @@ from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_norm
                               leibniz_bracket, matrix_bracket, ostrogradski_reduce,
                               verify_rmatrix)
 from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, generate_partner
-from helpers import (pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density, x_block,
+from helpers import (pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density,
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
                      full_euler, is_antisymmetric, jacobi_defect,
                      multipliers_from_euler_lagrange)

@@ -151,6 +151,39 @@ def test_sim_rejects_a_non_finite_time_span(capsys, t_end):
     assert rep["status"] == "error" and "t_span" in rep["error"]
 
 
+def test_sim_csv_writes_the_charge_series(tmp_path, capsys):
+    csv = tmp_path / "charges.csv"
+    code, rep = run(capsys, "sim", "--check", "charges", "--grid", "32", "--steps", "200",
+                    "--t-end", "0.1", "--csv", str(csv))
+    assert code == 0 and rep["csv"] == str(csv)
+    lines = csv.read_text().splitlines()
+    assert lines[0] == "time,charge_1,charge_2,charge_3,charge_4"
+    assert len(lines) == 1 + 5                  # one row per snapshot
+
+
+def test_sim_csv_needs_the_charges_check(tmp_path, capsys):
+    # the monodromy check computes no charge series for --csv to write
+    csv = tmp_path / "f.csv"
+    code, rep = run(capsys, "sim", "--check", "monodromy", "--grid", "32", "--steps", "400",
+                    "--csv", str(csv))
+    assert code == 2
+    assert rep["status"] == "error" and "--csv" in rep["error"]
+    assert not csv.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify-zc", "--level", "2"],
+    ["verify-rmatrix", "--matrix", "u"],
+    ["dirac", "--lagrangian", "l2", "--direction", "time"],
+    ["sim", "--grid", "32", "--steps", "10"],
+], ids=["verify-zc", "verify-rmatrix", "dirac", "sim"])
+def test_format_is_rejected_where_nothing_reads_it(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "latex"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --format latex" in capsys.readouterr().err
+
+
 def test_out_file(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(["gen-v", "--level", "1", "--out", str(out)])

@@ -6,13 +6,13 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar
+from nlsdual.ringcore import Coeff, DiffPoly
 from nlsdual.laxalg import LaxMatrix
 from nlsdual.hierarchy import (_neumann_series, build_u, conserved_density, density_ladder,
                                dual_hierarchy, evolution_rules, generate_partner,
                                generating_function_expand, on_shell, solve_W,
                                solve_evolution, zero_curvature_residual, WSeries)
-from helpers import (pj, qj, v, mono, cf, x_block, y_block, nls_hamiltonian_density,
+from helpers import (pj, qj, v, mono, cf, nls_hamiltonian_density,
                      printed_v, printed_dual, sigma3, alternating_products, check_reality,
                      lower_component, riccati_residual)
 import sympy_oracle as orc
@@ -141,7 +141,7 @@ def test_generated_partners_structural():
         V = generate_partner(U, 1, n)
         assert V.trace_zero()
         assert V.sigma_symmetric()
-        assert V.graded(n)
+        assert V.graded()
 
 
 def test_two_routes_agree():

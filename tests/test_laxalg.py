@@ -6,11 +6,11 @@ import random
 
 import pytest
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar
+from nlsdual.ringcore import KAPPA, SQRT_KAPPA, Coeff, DiffPoly
 from nlsdual.laxalg import LaxMatrix, TensorMatrix, divided_difference, rmatrix_bracket_rhs
 from nlsdual.hierarchy import (WSeries, build_u, generate_partner, generating_function_expand,
                                solve_W)
-from helpers import (pj, qj, v, mono, cf, random_poly, embed1, embed2, field_matrix,
+from helpers import (pj, qj, v, cf, random_poly, embed1, embed2, field_matrix,
                      permutation, sigma3, tensor_matmul)
 
 Z = DiffPoly.zero()
@@ -49,8 +49,8 @@ def test_sigma3_field_matrix_commutator():
 def test_u_structure():
     U = build_u()
     assert U.trace_zero()
-    assert U.sigma_symmetric("s1")
-    assert U.graded(1)
+    assert U.sigma_symmetric()
+    assert U.graded()
 
 
 def test_sigma_symmetry_closure():
@@ -61,23 +61,24 @@ def test_sigma_symmetry_closure():
     V2 = generate_partner(U, 1, 2)
     C = U.commutator(V2)
     assert C.trace_zero()
-    assert C.sigma_symmetric("s1")
-    assert not C.scale(Coeff.i()).sigma_symmetric("s1")
+    assert C.sigma_symmetric()
+    assert not C.scale(Coeff.i()).sigma_symmetric()
 
 
 def test_grading_of_commutator():
     U = build_u()
     V2 = generate_partner(U, 1, 2)
     C = U.commutator(V2)
-    assert C.graded(3)
+    # C carries U's level 1; the commutator has dimension 3
+    assert LaxMatrix(C.coeffs, level=3).graded()
 
 
 def test_sigma2_branch():
-    # sqrt(kappa)(psibar E12 - psi E21) is symmetric in the kappa<0 branch only
-    sk = Coeff.make(1, 0, 1)
+    # sqrt(kappa)(psibar E12 - psi E21) would be symmetric in a kappa<0
+    # (sigma_2) branch only; sqrt(kappa) is real here, so it is not sigma_1-symmetric
+    sk = SQRT_KAPPA
     M = LaxMatrix({0: (Z, v(qj(), sk), v(pj(), -sk), Z)})
-    assert M.sigma_symmetric("s2")
-    assert not M.sigma_symmetric("s1")
+    assert not M.sigma_symmetric()
 
 
 # --- tensor space -------------------------------------------------------------
@@ -166,7 +167,7 @@ def test_rmatrix_rhs_against_bruteforce_products():
             term = tensor_matmul(M1 - TensorMatrix({(0, 0): M2.coeffs[(0, 0)]}), P)
             shifted = TensorMatrix({(a, b): ee for (_, _), ee in term.coeffs.items()})
             acc = acc + shifted
-        kap = Coeff.make(1, 0, 2)
+        kap = KAPPA
         acc = TensorMatrix({pw: tuple(x.scale(kap) for x in e) for pw, e in acc.coeffs.items()})
         assert (acc - rmatrix_bracket_rhs(A, 1)).is_zero()
 

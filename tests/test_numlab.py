@@ -10,8 +10,7 @@ import pytest
 
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
-from nlsdual.ringcore import DiffPoly, JetVar
-from helpers import (pj, qj, v, mono, cf, entry_columns, evolve_nls_per_stage,
+from helpers import (pj, qj, v, entry_columns, evolve_nls_per_stage,
                      ordered_product_stacked, rk4_transfer_sequential, step_propagators_stacked,
                      transfer_along_t_per_record)
 
@@ -202,9 +201,9 @@ def test_charge_with_t_jets_needs_rules():
     st = N.plane_wave(64, np.pi, 1.0, 0.7, 1)
     traj = N.evolve_nls(st, (0.0, 0.1), 200, n_snapshots=2)
     dens = v(pj(0, [(2, 1)])) * v(qj())
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="substitute the evolution rules first"):
         N.charge_evaluate(dens, traj)
-    ch = N.charge_evaluate(dens, traj, rules=evolution_rules(2))
+    ch = N.charge_evaluate(dens.substitute(evolution_rules(2)), traj)
     assert np.all(np.isfinite(ch))
 
 
@@ -347,7 +346,7 @@ def test_convergence_is_fourth_order():
 
 def test_convergence_errors_are_those_of_the_per_stage_reference():
     rows = N.plane_wave_convergence(base_steps=100, refinements=3)
-    # plane_wave_convergence's defaults: 32 points, kappa 1, A = 0.8, mode 1, t = 0.5
+    # plane_wave_convergence's plane wave: 32 points, kappa 1, A = 0.8, mode 1, t = 0.5
     st = N.plane_wave(32, np.pi, 1.0, 0.8, 1)
     exact = N.plane_wave_exact(st, 1, 0.8, 0.5)
     ref = [float(np.max(np.abs(evolve_nls_per_stage(st, (0.0, 0.5), steps)[-1] - exact)))

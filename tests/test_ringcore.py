@@ -86,7 +86,7 @@ def test_no_derivative_along_a_dual_flow_label():
 def test_no_prolongation_along_a_dual_flow_label():
     with pytest.raises(ValueError):
         PSI.prolong_along(("eta", 2))
-    assert PSI.prolong_along("x", 2) is pj(2)
+    assert PSI.prolong_along("x").prolong_along("x") is pj(2)
 
 
 @settings(max_examples=40, deadline=None)
