@@ -24,7 +24,6 @@ f' = {H, f} for the evolution generated by H.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Sequence
 
@@ -327,15 +326,18 @@ def _mu_field(k: int, j: int) -> str:
     return f"m{k}_{j + 1}"
 
 
-@dataclass
 class Reduction:
     """First-order auxiliary system equivalent to a higher-order Lagrangian."""
 
-    original: DiffPoly
-    level: int                      # t-level of the kinetic term
-    order: int                      # highest x-derivative in the original
-    lagrangian: DiffPoly            # auxiliary first-order Lagrangian
-    coord_fields: tuple[str, ...]   # phi's, chain fields, multipliers (in order)
+    __slots__ = ("original", "level", "order", "lagrangian", "coord_fields")
+
+    def __init__(self, original: DiffPoly, level: int, order: int, lagrangian: DiffPoly,
+                 coord_fields: tuple[str, ...]):
+        self.original = original
+        self.level = level                  # t-level of the kinetic term
+        self.order = order                  # highest x-derivative in the original
+        self.lagrangian = lagrangian        # auxiliary first-order Lagrangian
+        self.coord_fields = coord_fields    # phi's, chain fields, multipliers (in order)
 
 
 def ostrogradski_reduce(L: DiffPoly) -> Reduction:
@@ -383,27 +385,37 @@ def ostrogradski_reduce(L: DiffPoly) -> Reduction:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ConstraintSystem:
-    coords: tuple[JetVar, ...]            # coordinates, in declaration order
-    momenta: tuple[JetVar, ...]           # conjugate momenta, same order
-    lagrangian: DiffPoly
-    constraints: tuple[DiffPoly, ...]     # primary constraints, paper ordering
-    constraint_names: tuple[str, ...]
-    M: tuple[tuple[Coeff, ...], ...]      # {C_j, C_k}, constant entries
-    Minv: tuple[tuple[Coeff, ...], ...]
-    multipliers: tuple[DiffPoly, ...]     # fixed by the consistency conditions
-    second_class: bool
-    dirac_full: "BracketTable"            # Dirac table on the full phase space
+    __slots__ = ("coords", "momenta", "lagrangian", "constraints", "constraint_names", "M",
+                 "Minv", "multipliers", "second_class", "dirac_full")
+
+    def __init__(self, coords: tuple[JetVar, ...], momenta: tuple[JetVar, ...],
+                 lagrangian: DiffPoly, constraints: tuple[DiffPoly, ...],
+                 constraint_names: tuple[str, ...], M: tuple[tuple[Coeff, ...], ...],
+                 Minv: tuple[tuple[Coeff, ...], ...], multipliers: tuple[DiffPoly, ...],
+                 second_class: bool, dirac_full: BracketTable):
+        self.coords = coords                # coordinates, in declaration order
+        self.momenta = momenta              # conjugate momenta, same order
+        self.lagrangian = lagrangian
+        self.constraints = constraints      # primary constraints, paper ordering
+        self.constraint_names = constraint_names
+        self.M = M                          # {C_j, C_k}, constant entries
+        self.Minv = Minv
+        self.multipliers = multipliers      # fixed by the consistency conditions
+        self.second_class = second_class
+        self.dirac_full = dirac_full        # Dirac table on the full phase space
 
 
-@dataclass
 class LegendreResult:
-    direction: object                     # ('t', n) for time, 'x' for space
-    level: int
-    hamiltonian_density: DiffPoly         # in psi/psibar jets
-    table: BracketTable                   # in psi/psibar jets
-    constraints: ConstraintSystem | None
+    __slots__ = ("direction", "level", "hamiltonian_density", "table", "constraints")
+
+    def __init__(self, direction: object, level: int, hamiltonian_density: DiffPoly,
+                 table: BracketTable, constraints: ConstraintSystem | None):
+        self.direction = direction          # ('t', n) for time, 'x' for space
+        self.level = level
+        self.hamiltonian_density = hamiltonian_density  # in psi/psibar jets
+        self.table = table                  # in psi/psibar jets
+        self.constraints = constraints
 
 
 def _momentum_of(c: JetVar) -> JetVar:

@@ -212,6 +212,19 @@ def matrix_bracket_per_pair(A, B, table):
     return TensorMatrix({k: tuple(v) for k, v in acc.items()})
 
 
+def station_derivatives_matmul(fields, half_length: float, station: int, order: int) -> list:
+    """``numlab._station_derivatives`` with one matrix-vector product per
+    order instead of a dot per row: the same circulant filter, applied as
+    ``fields @ filt[back]``."""
+    from nlsdual.numlab import spectral_derivative
+    n = fields.shape[1]
+    impulse = np.zeros(n, dtype=complex)
+    impulse[0] = 1.0
+    back = (station - np.arange(n)) % n
+    return [fields[:, station]] + [fields @ spectral_derivative(impulse, half_length, k)[back]
+                                   for k in range(1, order + 1)]
+
+
 def transfer_along_t_per_record(M, traj, lam_values, station: int) -> list:
     """t-direction transfer matrices of M at grid index ``station``, taking
     one FFT of every recorded step and building the 2x2 matrix afresh at

@@ -292,6 +292,18 @@ def test_brackets_is_loaded_on_first_access():
         "['ringcore', 'laxalg', 'hierarchy', 'brackets', 'numlab']", "nlsdual.brackets", "True"]
 
 
+def test_brackets_and_numlab_do_not_load_dataclasses():
+    # `import dataclasses` loads inspect, ast, dis and copy; numpy itself
+    # loads inspect, so only brackets is held to that
+    proc = _python("-c", "import sys\n"
+                         "from nlsdual import brackets\n"
+                         "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))\n"
+                         "from nlsdual import numlab\n"
+                         "print('dataclasses' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["[]", "False"]
+
+
 def test_sim_planewave_does_not_load_numpy_random():
     # only --case custom draws a random number
     proc = _python("-c", "import contextlib, io, sys\n"

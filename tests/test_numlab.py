@@ -11,8 +11,8 @@ import pytest
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
 from helpers import (pj, qj, v, entry_columns, evolve_nls_per_stage,
-                     ordered_product_stacked, rk4_transfer_sequential, step_propagators_stacked,
-                     transfer_along_t_per_record)
+                     ordered_product_stacked, rk4_transfer_sequential, station_derivatives_matmul,
+                     step_propagators_stacked, transfer_along_t_per_record)
 
 U = build_u()
 
@@ -41,6 +41,12 @@ def test_grid_state_rejects_non_finite_samples(bad):
 def test_grid_state_rejects_a_non_finite_kappa(kappa):
     with pytest.raises(ValueError, match="kappa must be finite"):
         N.GridState(np.ones(32, dtype=complex), np.pi, kappa)
+
+
+@pytest.mark.parametrize("half_length", [0.0, -1.0, np.inf, np.nan])
+def test_grid_state_rejects_a_bad_half_length(half_length):
+    with pytest.raises(ValueError, match="half_length must be finite and > 0"):
+        N.GridState(np.ones(32, dtype=complex), half_length, 1.0)
 
 
 def test_plane_wave_evolution_matches_dispersion():
@@ -267,6 +273,35 @@ def test_time_transfer_matches_per_record_reference_on_generic_field():
                                          det_tol=1e-8).matrices)
         want = np.array(transfer_along_t_per_record(V2, traj, lams, station))
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_station_derivatives_match_the_matrix_vector_product(order):
+    # per-row dots against the one matrix-vector product they replace.  The
+    # k-th derivative filter grows like (n/2)^k and its sums cancel, so the
+    # error is measured against max |psi| * sum |filter|, the largest sum of
+    # |summands| a row can have, rather than against the result
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.01), 50, n_snapshots=2, record_fine=True)
+    fields, L = traj.fine_fields, traj.half_length
+    n = fields.shape[1]
+    impulse = np.zeros(n, dtype=complex)
+    impulse[0] = 1.0
+    scale = [np.max(np.abs(fields)) * np.sum(np.abs(N.spectral_derivative(impulse, L, k)))
+             for k in range(order + 1)]
+    for station in (0, 5, n - 1):
+        got = N._station_derivatives(fields, L, station, order)
+        want = station_derivatives_matmul(fields, L, station, order)
+        assert len(got) == len(want) == order + 1
+        for g, w, sc in zip(got, want, scale):
+            assert np.max(np.abs(g - w)) <= 1e-12 * sc
+
+
+@pytest.mark.parametrize("station", [-3, -1, 128, 200])
+def test_transfer_along_t_rejects_a_station_off_the_grid(station):
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.01), 10, n_snapshots=2, record_fine=True)
+    V2 = generate_partner(U, 1, 2)
+    with pytest.raises(ValueError, match=f"station={station}, n=128"):
+        N.transfer_matrix(V2, traj, [0.5], "along_t", station=station)
 
 
 @pytest.mark.parametrize("periodic", [True, False])
