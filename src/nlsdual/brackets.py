@@ -27,7 +27,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ringcore import Coeff, DiffPoly, JetVar, PSI, PSIBAR
+from .ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, _accumulate,
+                       is_total_x_derivative)
 from . import hierarchy
 from .laxalg import LaxMatrix, TensorMatrix, rmatrix_bracket_rhs
 
@@ -236,58 +237,68 @@ def byparts_normal_form(h: DiffPoly) -> DiffPoly:
     """Equivalent density (same Euler derivatives) in the balanced form.
 
     First every monomial whose single highest-order jet sits at least two
-    orders above the rest is depressed by parts; then conjugate monomial
-    pairs whose sum is a total derivative are antisymmetrised.  For the
-    hierarchy densities this lands on the form whose top term is
-    d^p psibar d^p psi (even level) or i(d^p psibar d^(p+1) psi - c.c.)
-    (odd level).  Raises if the depression takes more than 400 steps.
+    orders above the rest is depressed by parts (:func:`_depress`); then
+    conjugate monomial pairs whose sum is a total derivative are
+    antisymmetrised (:func:`_antisymmetrise`).  For the hierarchy densities
+    this lands on the form whose top term is d^p psibar d^p psi (even level)
+    or i(d^p psibar d^(p+1) psi - c.c.) (odd level).
     """
     for v in h.jets():
         if v.dt:
             raise ValueError("normal form applies to x-jet densities only")
-    cur = h
-    for _ in range(400):
-        target = None
-        for mono in sorted(cur.terms, key=lambda m: tuple(v.sort_key() for v in m)):
-            if not mono:
-                continue
-            kmax = max(v.dx for v in mono)
-            top = [v for v in mono if v.dx == kmax]
-            rest_max = max((v.dx for v in mono if v.dx != kmax), default=-10)
-            if len(top) == 1 and kmax >= rest_max + 2 and len(mono) > 1:
-                target = (mono, top[0])
-                break
-        if target is None:
-            break
-        mono, topjet = target
-        c = cur.terms[mono]
-        rest = list(mono)
-        rest.remove(topjet)
-        lowered = DiffPoly.var(JetVar(topjet.field, topjet.dx - 1, topjet.dt))
-        repl = -(lowered * DiffPoly.monomial(rest).d_x())
-        cur = cur - DiffPoly({mono: c}) + repl.scale(c)
-    else:
-        raise RuntimeError("by-parts depression did not terminate")
+    return _antisymmetrise(_depress(h))
 
-    # antisymmetrise conjugate pairs equivalent to each other's negative
+
+def _depress(h: DiffPoly) -> dict:
+    """The terms of h with every depressible monomial integrated by parts.
+
+    A monomial c * u_k * r qualifies when u_k is its only jet of the top
+    order k and the nonempty rest r has orders at most k - 2; modulo a total
+    derivative it is -c * u_(k-1) * d_x(r), whose monomials all have top
+    order exactly k - 1.  So one sweep over buckets keyed by top order, from
+    max_x_order down to 0, terminates: a bucket receives terms only from the
+    one above, all of them (cancellations included) before it is processed.
+    Depression is linear and takes whole coefficients, so the result does
+    not depend on the order in which monomials are processed.
+    """
+    buckets: list[dict] = [{} for _ in range(h.max_x_order() + 1)]
+    for mono, c in h.terms.items():
+        buckets[max((v.dx for v in mono), default=0)][mono] = c
+    settled = {}
+    for k in range(len(buckets) - 1, -1, -1):
+        for mono, c in buckets[k].items():
+            if not c:
+                continue
+            top = [v for v in mono if v.dx == k]
+            rest = [v for v in mono if v.dx < k]
+            if len(top) == 1 and rest and max(v.dx for v in rest) <= k - 2:
+                lowered = DiffPoly.var(JetVar(top[0].field, k - 1, top[0].dt), -c)
+                _accumulate(buckets[k - 1], (lowered * DiffPoly.monomial(rest).d_x()).terms)
+            else:
+                settled[mono] = c
+    return settled
+
+
+def _antisymmetrise(terms: dict) -> DiffPoly:
+    """Replace the coefficients (cm, cc) of each conjugate monomial pair whose
+    sum is a total x-derivative by (a, -a), a = (cm - cc)/2, which changes the
+    density by a multiple of that total derivative."""
+    out = dict(terms)
     done = set()
-    for mono in sorted(cur.terms, key=lambda m: tuple(v.sort_key() for v in m)):
-        if mono in done or mono not in cur.terms:
+    for mono in sorted(terms, key=lambda m: tuple(v.sort_key() for v in m)):
+        if mono in done:
             continue
         conj = tuple(sorted((v.conjugate_var() for v in mono), key=JetVar.sort_key))
         if conj == mono or conj in done:
             continue
         done.add(mono)
         done.add(conj)
-        pair_sum = DiffPoly.monomial(mono) + DiffPoly.monomial(conj)
-        fields = {v.field for v in mono} | {v.field for v in conj}
-        if not all(pair_sum.euler(f).is_zero() for f in fields):
+        if not is_total_x_derivative(DiffPoly.monomial(mono) + DiffPoly.monomial(conj)):
             continue
-        cm = cur.terms.get(mono, Coeff.zero())
-        cc = cur.terms.get(conj, Coeff.zero())
-        a = (cm - cc) * Coeff.make(_HALF)
-        cur = cur - DiffPoly({mono: cm, conj: cc}) + DiffPoly({mono: a, conj: -a})
-    return cur
+        a = (out[mono] - out.get(conj, Coeff.zero())) * Coeff.make(_HALF)
+        out[mono] = a
+        out[conj] = -a
+    return DiffPoly(out)
 
 
 def kinetic_term(n: int) -> DiffPoly:
@@ -606,27 +617,17 @@ def _invert_jet_map(jet_map: Mapping[JetVar, DiffPoly], jets: list[JetVar], coor
 
     Each jet's expression adds one new reduced coordinate, linearly with a
     constant coefficient, to those of the lower jets; solving in jet order
-    inverts the map.
+    inverts the map in one pass.  Raises on the first jet that does not.
     """
     inverse: dict[JetVar, DiffPoly] = {}
-    pending = list(jets)
-    for _ in range(len(pending) + 2):
-        progress = False
-        for target in list(pending):
-            e = jet_map[target]
-            unknown = [v for v in e.jets() if _strip_prolongation(v, list(inverse), w) is None]
-            if len(unknown) == 1:
-                v = unknown[0]
-                c0 = e.diff(v).constant_value()
-                if c0 and c0.is_single_term():
-                    rest = (e - DiffPoly.var(v, c0)).substitute(inverse)
-                    inverse[v] = (DiffPoly.var(target) - rest).scale(c0.inverse())
-                    unknown = []
-            if not unknown:
-                pending.remove(target)
-                progress = True
-        if not progress:
-            break
+    for target in jets:
+        e = jet_map[target]
+        unknown = [v for v in e.jets() if _strip_prolongation(v, list(inverse), w) is None]
+        c0 = e.diff(unknown[0]).constant_value() if len(unknown) == 1 else None
+        if not (c0 and c0.is_single_term()):
+            raise ValueError(f"jet {target} does not add exactly one solvable phase coordinate")
+        rest = (e - DiffPoly.var(unknown[0], c0)).substitute(inverse)
+        inverse[unknown[0]] = (DiffPoly.var(target) - rest).scale(c0.inverse())
     missing = [c for c in coords if c not in inverse]
     if missing:
         raise ValueError(f"could not express phase coordinates in jets: {missing}")

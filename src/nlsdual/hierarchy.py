@@ -36,7 +36,6 @@ def build_u() -> LaxMatrix:
             0: (_Z, DiffPoly.var(PSIBAR, sk), DiffPoly.var(PSI, sk), _Z),
         },
         xi="x",
-        level=1,
     )
 
 
@@ -217,7 +216,7 @@ def generate_partner(X: LaxMatrix, gamma: int, n: int, W: WSeries | None = None)
         W = solve_W(X, max(n, 1) + 2)
     half_ig = Coeff.make(0, Fraction(gamma, 2))
     Y = LaxMatrix({0: (DiffPoly.const(half_ig), _Z, _Z, DiffPoly.const(-half_ig))},
-                  xi=X.xi, level=0)
+                  xi=X.xi)
     ig = Coeff.make(0, Fraction(gamma))
     inv = _neumann_series(W, n)
     for k in range(1, n + 1):
@@ -225,7 +224,7 @@ def generate_partner(X: LaxMatrix, gamma: int, n: int, W: WSeries | None = None)
         # i*gamma*sigma_3 * S
         add = (S[0].scale(ig), S[1].scale(ig), -S[2].scale(ig), -S[3].scale(ig))
         Y = Y.shift_lambda(1) + LaxMatrix({0: add}, xi=X.xi)
-    return LaxMatrix(Y.coeffs, xi=_partner_direction(X, n), level=n)
+    return LaxMatrix(Y.coeffs, xi=_partner_direction(X, n))
 
 
 def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | None = None) -> list[LaxMatrix]:
@@ -257,7 +256,7 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
     result = []
     for m in range(1, K + 1):
         coeffs = {k: tuple(x.scale(pref) for x in G[m - 1 - k]) for k in range(m)}
-        result.append(LaxMatrix(coeffs, xi=_partner_direction(X, m - 1), level=m - 1))
+        result.append(LaxMatrix(coeffs, xi=_partner_direction(X, m - 1)))
     return result
 
 

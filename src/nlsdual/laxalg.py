@@ -54,24 +54,33 @@ class LaxMatrix:
 
     ``coeffs`` maps lambda-power -> 4-tuple of entries (row major).  ``xi``
     records which independent variable the associated auxiliary linear
-    problem differentiates in ('x' or ('t', n)); ``level`` is the declared
-    hierarchy level when meaningful.  Immutable and unhashable; ``==``
-    compares the entries, ``xi`` and ``level``.
+    problem differentiates in ('x' or ('t', n)); a sum or product keeps it
+    only when both operands carry the same one, and has None otherwise.
+    ``level`` is the hierarchy level that the grading of the entries
+    implies.  Immutable and unhashable; ``==`` compares the entries and
+    ``xi``.
     """
 
-    __slots__ = ("coeffs", "xi", "level")
+    __slots__ = ("coeffs", "xi")
     __match_args__ = __slots__
     __setattr__ = _frozen_setattr
     __delattr__ = _frozen_delattr
 
-    def __init__(self, coeffs: Mapping[int, Entry2], xi: object = "x", level: int | None = None):
+    def __init__(self, coeffs: Mapping[int, Entry2], xi: object = "x"):
         clean = {p: e for p, e in coeffs.items() if not _is_zero2(e)}
         object.__setattr__(self, "coeffs", clean)
         object.__setattr__(self, "xi", xi)
-        object.__setattr__(self, "level", level)
 
     def __reduce__(self):
-        return (LaxMatrix, (self.coeffs, self.xi, self.level))
+        return (LaxMatrix, (self.coeffs, self.xi))
+
+    @property
+    def level(self) -> int | None:
+        """The common p + scaling dimension of the nonzero entries of the
+        lambda^p coefficients, or None for a zero or inhomogeneous matrix."""
+        levels = {None if (d := x.scaling_dimension()) is None else p + d
+                  for p, e in self.coeffs.items() for x in e if x}
+        return levels.pop() if len(levels) == 1 else None
 
     # -- access --------------------------------------------------------------
     def lam_coeff(self, p: int) -> Entry2:
@@ -98,19 +107,19 @@ class LaxMatrix:
         acc = dict(self.coeffs)
         for p, e in other.coeffs.items():
             acc[p] = _add2(acc.get(p, _zeros2()), e)
-        return LaxMatrix(acc, self.xi, self.level)
+        return LaxMatrix(acc, self.xi if self.xi == other.xi else None)
 
     def __neg__(self) -> "LaxMatrix":
-        return LaxMatrix({p: _scale2(e, -1) for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p: _scale2(e, -1) for p, e in self.coeffs.items()}, self.xi)
 
     def __sub__(self, other: "LaxMatrix") -> "LaxMatrix":
         return self + (-other)
 
     def scale(self, c) -> "LaxMatrix":
-        return LaxMatrix({p: _scale2(e, c) for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p: _scale2(e, c) for p, e in self.coeffs.items()}, self.xi)
 
     def shift_lambda(self, k: int) -> "LaxMatrix":
-        return LaxMatrix({p + k: e for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p + k: e for p, e in self.coeffs.items()}, self.xi)
 
     def matmul(self, other: "LaxMatrix") -> "LaxMatrix":
         acc: dict[int, Entry2] = {}
@@ -118,7 +127,7 @@ class LaxMatrix:
             for p2, e2 in other.coeffs.items():
                 p = p1 + p2
                 acc[p] = _add2(acc.get(p, _zeros2()), _mul2(e1, e2))
-        return LaxMatrix(acc, self.xi, self.level)
+        return LaxMatrix(acc, self.xi if self.xi == other.xi else None)
 
     def commutator(self, other: "LaxMatrix") -> "LaxMatrix":
         return self.matmul(other) - other.matmul(self)
@@ -132,7 +141,7 @@ class LaxMatrix:
         return out
 
     def applyfunc(self, f: Callable[[DiffPoly], DiffPoly]) -> "LaxMatrix":
-        return LaxMatrix({p: tuple(f(x) for x in e) for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p: tuple(f(x) for x in e) for p, e in self.coeffs.items()}, self.xi)
 
     def d_along(self, var) -> "LaxMatrix":
         """Total derivative of every entry along 'x' or ('t', n); see DiffPoly.d_along."""
@@ -142,10 +151,10 @@ class LaxMatrix:
         return self.applyfunc(lambda e: e.substitute(rules))
 
     def diag_part(self) -> "LaxMatrix":
-        return LaxMatrix({p: (e[0], _Z, _Z, e[3]) for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p: (e[0], _Z, _Z, e[3]) for p, e in self.coeffs.items()}, self.xi)
 
     def off_part(self) -> "LaxMatrix":
-        return LaxMatrix({p: (_Z, e[1], e[2], _Z) for p, e in self.coeffs.items()}, self.xi, self.level)
+        return LaxMatrix({p: (_Z, e[1], e[2], _Z) for p, e in self.coeffs.items()}, self.xi)
 
     # -- structural checks ------------------------------------------------------
     def is_zero(self) -> bool:
@@ -154,7 +163,7 @@ class LaxMatrix:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LaxMatrix):
             return NotImplemented
-        return (self.xi, self.level) == (other.xi, other.level) and (self - other).is_zero()
+        return self.xi == other.xi and (self - other).is_zero()
 
     def trace_zero(self) -> bool:
         return not self.trace()
@@ -166,20 +175,6 @@ class LaxMatrix:
             # sigma1 M sigma1 = [[d, c], [b, a]]
             if not all((x.conjugate() - y).is_zero() for x, y in zip((a, b, c, d), (d, c, b, a))):
                 return False
-        return True
-
-    def graded(self) -> bool:
-        """Each lambda^j coefficient homogeneous of scaling dimension level-j,
-        for the declared ``level``."""
-        if self.level is None:
-            raise ValueError("no level declared")
-        for p, e in self.coeffs.items():
-            for x in e:
-                d = x.scaling_dimension()
-                if x.is_zero():
-                    continue
-                if d is None or d != self.level - p:
-                    return False
         return True
 
     # -- io -----------------------------------------------------------------

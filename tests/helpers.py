@@ -552,6 +552,66 @@ def _back_to_jets(red) -> dict[JetVar, DiffPoly]:
     return rules
 
 
+# --- by-parts normal form, one depression step at a time ----------------------
+
+def byparts_normal_form_stepwise(h: DiffPoly) -> DiffPoly:
+    """Reference for brackets.byparts_normal_form: each step rescans the sorted
+    terms, depresses the first monomial whose single top jet sits two or more
+    orders above the rest, and rebuilds the polynomial; then each conjugate
+    pair whose sum has vanishing Euler derivatives is antisymmetrised, one
+    rebuild per pair."""
+    key = lambda m: tuple(v.sort_key() for v in m)
+    cur = h
+    while True:
+        target = None
+        for m in sorted(cur.terms, key=key):
+            if not m:
+                continue
+            kmax = max(v.dx for v in m)
+            top = [v for v in m if v.dx == kmax]
+            rest_max = max((v.dx for v in m if v.dx != kmax), default=-10)
+            if len(top) == 1 and kmax >= rest_max + 2 and len(m) > 1:
+                target = (m, top[0])
+                break
+        if target is None:
+            break
+        m, topjet = target
+        c = cur.terms[m]
+        rest = list(m)
+        rest.remove(topjet)
+        lowered = DiffPoly.var(JetVar(topjet.field, topjet.dx - 1, topjet.dt))
+        repl = -(lowered * DiffPoly.monomial(rest).d_x())
+        cur = cur - DiffPoly({m: c}) + repl.scale(c)
+
+    done = set()
+    for m in sorted(cur.terms, key=key):
+        if m in done or m not in cur.terms:
+            continue
+        conj = tuple(sorted((v.conjugate_var() for v in m), key=JetVar.sort_key))
+        if conj == m or conj in done:
+            continue
+        done.add(m)
+        done.add(conj)
+        pair_sum = DiffPoly.monomial(m) + DiffPoly.monomial(conj)
+        fields = {v.field for v in m} | {v.field for v in conj}
+        if not all(pair_sum.euler(f).is_zero() for f in fields):
+            continue
+        cm = cur.terms.get(m, Coeff.zero())
+        cc = cur.terms.get(conj, Coeff.zero())
+        a = (cm - cc) * Coeff.make(Fraction(1, 2))
+        cur = cur - DiffPoly({m: cm, conj: cc}) + DiffPoly({m: a, conj: -a})
+    return cur
+
+
+def is_balanced(h: DiffPoly) -> bool:
+    """No monomial has a single top jet two or more orders above the rest."""
+    for m in h.terms:
+        orders = sorted(v.dx for v in m)
+        if len(orders) > 1 and orders[-1] > orders[-2] + 1:
+            return False
+    return True
+
+
 # --- the JSON reader of DiffPoly.to_json_obj -------------------------------------
 
 def poly_from_json_obj(items: list) -> DiffPoly:

@@ -9,7 +9,7 @@ import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar
+from nlsdual.ringcore import Coeff, DiffPoly, JetVar, is_total_x_derivative
 from nlsdual.laxalg import LaxMatrix
 from nlsdual import brackets as B
 from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_normal_form,
@@ -17,10 +17,10 @@ from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_norm
                               leibniz_bracket, matrix_bracket, ostrogradski_reduce,
                               verify_rmatrix)
 from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, generate_partner
-from helpers import (pj, qj, v, mono, cf, random_poly, nls_hamiltonian_density,
+from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, nls_hamiltonian_density,
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
-                     full_euler, is_antisymmetric, jacobi_defect,
-                     multipliers_from_euler_lagrange)
+                     full_euler, is_antisymmetric, is_balanced, jacobi_defect,
+                     multipliers_from_euler_lagrange, byparts_normal_form_stepwise)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -292,6 +292,25 @@ def test_normal_form_is_euler_equivalent_and_balanced():
                 continue
             orders = sorted(v_.dx for v_ in mono_)
             assert orders[-1] <= orders[-2] + 1
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 10**6))
+def test_normal_form_matches_the_stepwise_reference(seed):
+    # the second term reaches jet order 4, so depressions chain
+    rng = random.Random(seed)
+    h = random_x_poly(rng) + random_x_poly(rng) * random_x_poly(rng).d_x().d_x()
+    nf = byparts_normal_form(h)
+    assert nf == byparts_normal_form_stepwise(h)
+    assert is_total_x_derivative(h - nf)
+    assert is_balanced(nf)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("level", [8, 9, 10, 11, 12])
+def test_level_densities_match_the_stepwise_reference(level):
+    d = conserved_density(U, level + 1)
+    assert byparts_normal_form(d) == byparts_normal_form_stepwise(d)
 
 
 def test_normal_form_idempotent():

@@ -141,7 +141,7 @@ def test_generated_partners_structural():
         V = generate_partner(U, 1, n)
         assert V.trace_zero()
         assert V.sigma_symmetric()
-        assert V.graded()
+        assert V.level == n
 
 
 def test_two_routes_agree():

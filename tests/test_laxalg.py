@@ -50,7 +50,7 @@ def test_u_structure():
     U = build_u()
     assert U.trace_zero()
     assert U.sigma_symmetric()
-    assert U.graded()
+    assert U.level == 1
 
 
 def test_sigma_symmetry_closure():
@@ -69,8 +69,20 @@ def test_grading_of_commutator():
     U = build_u()
     V2 = generate_partner(U, 1, 2)
     C = U.commutator(V2)
-    # C carries U's level 1; the commutator has dimension 3
-    assert LaxMatrix(C.coeffs, level=3).graded()
+    # the levels add: [U, V2] is graded of level 1 + 2
+    assert C.level == 3
+
+
+def test_sums_and_products_keep_only_a_common_direction():
+    U = build_u()
+    V2, V3 = generate_partner(U, 1, 2), generate_partner(U, 1, 3)
+    assert (U.matmul(U).xi, U.matmul(U).level) == ("x", 2)
+    assert (V3 - V3.scale(2)).xi == ("t", 3)
+    for A, B in ((U, V2), (U, V3), (V2, V3)):
+        C = A.commutator(B)
+        assert C.xi is None and C.level == A.level + B.level
+        assert (A + B).xi is None and (A + B).level is None    # levels differ
+    assert LaxMatrix({}).level is None
 
 
 def test_sigma2_branch():
@@ -222,10 +234,10 @@ def test_value_object_constructors_and_repr():
     e = (one, Z, Z, one.scale(-1))
     # positional and keyword; entries that are zero are dropped
     A = LaxMatrix({0: e, 3: (Z, Z, Z, Z)})
-    B = LaxMatrix(coeffs={0: e}, xi=("t", 2), level=0)
+    B = LaxMatrix(coeffs={0: e}, xi=("t", 2))
     assert A.coeffs == B.coeffs == {0: e}
-    assert (A.xi, A.level) == ("x", None) and (B.xi, B.level) == (("t", 2), 0)
-    assert A != B and (A - B).is_zero()  # equal entries, other xi and level
+    assert (A.xi, A.level) == ("x", 0) and (B.xi, B.level) == (("t", 2), 0)
+    assert A != B and (A - B).is_zero()  # equal entries, other xi
     assert repr(B) == "LaxMatrix(xi=('t', 2), level=0)\n  lam^0: [[(1), 0], [0, (-1)]]"
 
     t = (one,) + (Z,) * 15
@@ -242,11 +254,12 @@ def test_value_object_constructors_and_repr():
 
 
 def test_equality_compares_direction_and_level():
-    # the two partner routes agree on the labels as well as the entries
+    # the two partner routes agree on the direction as well as the entries,
+    # and the level derived from the entries is the partner's
     U = build_u()
     gen = generating_function_expand(U, +1, 5)
     for n in range(5):
         V = generate_partner(U, +1, n)
         assert V == gen[n] and (V.xi, V.level) == (("t", n), n)
-        assert V != LaxMatrix(V.coeffs, xi="x", level=n)
-        assert V != LaxMatrix(V.coeffs, xi=V.xi, level=n + 1)
+        assert V != LaxMatrix(V.coeffs, xi="x")
+        assert V.shift_lambda(1).level == n + 1

@@ -3,7 +3,7 @@
 For each level n the space-direction Dirac pipeline yields the equal-space
 table T_n and the dual density; V_n must satisfy the flipped-sign r-matrix
 identity under T_n, and T_n with the density must generate the level-n flow.
-Levels 6-8 run in the default suite, 9-12 under ``pytest -m slow``.
+Levels 6-8 run in the default suite, 9-13 under ``pytest -m slow``.
 """
 
 import importlib.util
@@ -34,7 +34,7 @@ def _partner(level):
 
 
 @pytest.mark.parametrize("level", [6, 7, 8] + [pytest.param(n, marks=pytest.mark.slow)
-                                             for n in (9, 10, 11, 12)])
+                                             for n in (9, 10, 11, 12, 13)])
 def test_level_sweep(level):
     res = _space(level)
     assert res.table.label == f"T{level}"

@@ -14,9 +14,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the README's Euler-kernel claim ("What gets verified") rests on it
-EXEMPT = {"is_total_x_derivative"}
-
 _DEFS = (ast.FunctionDef, ast.ClassDef)
 
 
@@ -81,8 +78,6 @@ def test_every_public_name_has_a_caller_outside_the_tests():
         if path.parent != ROOT / "src" / "nlsdual":
             continue
         for qualname, node in _public_definitions(tree):
-            if node.name in EXEMPT:
-                continue
             if not any(node not in scope for scope in refs.get(node.name, [])):
                 unused.append(f"{path.stem}.{qualname}")
     assert unused == [], "public names that only the tests call: " + ", ".join(unused)
