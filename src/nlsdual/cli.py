@@ -30,7 +30,7 @@ def _emit(report: dict, args) -> int:
         print(f"wrote {args.out}")
     else:
         print(text)
-    return 0 if report.get("status") in ("pass", "ok") else 1
+    return 0 if report["status"] == "pass" else 1
 
 
 def _matrix_payload(M, fmt: str):
@@ -98,7 +98,13 @@ def cmd_verify_zc(args) -> int:
     return _emit(rep, args)
 
 
-_MATRIX_CHOICES = ("u", "v2", "v3", "v4")
+def _level(prefix: str, text: str) -> int:
+    """The level N >= 2 of an argument spelled `<prefix>N`, N in decimal with
+    no sign and no leading zero: f"{prefix}{N}" spells the argument back."""
+    digits = text.removeprefix(prefix)
+    if digits.isdecimal() and f"{prefix}{int(digits)}" == text and int(digits) >= 2:
+        return int(digits)
+    raise argparse.ArgumentTypeError(f"{text!r} is not {prefix}N for a level N >= 2")
 
 
 def cmd_verify_rmatrix(args) -> int:
@@ -108,14 +114,14 @@ def cmd_verify_rmatrix(args) -> int:
 
     U = hierarchy.build_u()
     if args.matrix == "u":
-        A, gamma = U, +1
+        name, A, gamma = "u", U, +1
         table = brackets.dirac_pipeline(brackets.build_level_lagrangian(2), "time").table
     else:
-        lvl = int(args.matrix[1:])
-        A, gamma = hierarchy.generate_partner(U, +1, lvl), -1
+        lvl = args.matrix
+        name, A, gamma = f"v{lvl}", hierarchy.generate_partner(U, +1, lvl), -1
         table = brackets.dirac_pipeline(brackets.build_level_lagrangian(lvl), "space").table
     report = brackets.verify_rmatrix(A, table, gamma)
-    rep = _report("verify-rmatrix", {"matrix": args.matrix, "gamma": gamma},
+    rep = _report("verify-rmatrix", {"matrix": name, "gamma": gamma},
                   report["status"], {"result": report})
     return _emit(rep, args)
 
@@ -123,8 +129,9 @@ def cmd_verify_rmatrix(args) -> int:
 def cmd_dirac(args) -> int:
     from . import brackets
 
-    lvl = {"l2": 2, "l3": 3, "l4": 4}[args.lagrangian]
+    lvl = args.lagrangian
     res = brackets.dirac_pipeline(brackets.build_level_lagrangian(lvl), args.direction)
+    ham = brackets.hamilton_check(res, hierarchy.evolution_rules(lvl))
     cs = res.constraints
     body = {
         "level": lvl,
@@ -134,11 +141,9 @@ def cmd_dirac(args) -> int:
         "second_class": cs.second_class,
         "hamiltonian_density": repr(res.hamiltonian_density),
         "bracket_table": {f"{{{a!r}, {b!r}}}": repr(v) for a, b, v in res.table.nonzero_pairs()},
+        "hamilton_equations": ham,
     }
-    rules = hierarchy.evolution_rules(lvl)
-    ham = brackets.hamilton_check(res, rules)
-    body["hamilton_equations"] = ham
-    rep = _report("dirac", {"lagrangian": args.lagrangian, "direction": args.direction},
+    rep = _report("dirac", {"lagrangian": f"l{lvl}", "direction": args.direction},
                   ham["status"], body)
     return _emit(rep, args)
 
@@ -149,17 +154,16 @@ def cmd_sim(args) -> int:
     import numpy as np
     from . import numlab
 
-    n, L = args.grid, np.pi
-    # default to the case's own sign: the bright soliton is focusing
-    kappa = args.kappa if args.kappa is not None else (-1.0 if args.case == "soliton" else 1.0)
+    n, L, kappa = args.grid, np.pi, args.kappa
     if not math.isfinite(kappa):
         raise ValueError(f"--kappa must be finite, got {kappa}")
-    if not (math.isfinite(args.tol) and args.tol > 0):
-        # drift < inf passes whatever the drift; drift < nan or < 0 never passes
-        raise ValueError(f"--tol must be finite and positive, got {args.tol}")
+    # drift < inf passes whatever the drift, drift < nan or < 0 never passes, and
+    # a span of 0 compares the initial state with itself, so every check passes
+    for flag, value in (("--tol", args.tol), ("--t-end", args.t_end)):
+        if not (math.isfinite(value) and value > 0):
+            raise ValueError(f"{flag} must be finite and positive, got {value}")
     if args.csv and args.check != "charges":
         raise ValueError("--csv writes the charge time series, so it needs --check charges")
-    x = -L + (2 * L / n) * np.arange(n)
     if args.case == "planewave":
         if not kappa > 0:
             # the amplitude^2 (2 pi - k^2) / (2 kappa) would be negative or infinite
@@ -168,16 +172,10 @@ def cmd_sim(args) -> int:
         k = mode * np.pi / L
         amp = float(np.sqrt((2 * np.pi - k * k) / (2 * kappa)))
         state = numlab.plane_wave(n, L, kappa, amp, mode)
-    elif args.case == "soliton":
-        # approximately periodic on a finite box; exploratory only
-        if not kappa < 0:
-            # A sech(A x) solves the flow only when focusing
-            raise ValueError(f"the soliton case needs --kappa < 0 (focusing), got {kappa}")
-        amp = 2.0
-        state = numlab.GridState(amp / np.cosh(amp * x), L, kappa)
     else:
         # only this case draws a random number: numpy.random loads here alone
         rng = np.random.default_rng(args.seed)
+        x = -L + (2 * L / n) * np.arange(n)
         prof = 0.7 + 0.2 * np.cos(x) + 0.1 * rng.standard_normal()
         state = numlab.GridState(prof * np.exp(1j * x), L, kappa)
 
@@ -274,24 +272,25 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_verify_zc)
 
     sp = sub.add_parser("verify-rmatrix", help="ultralocal r-matrix identity")
-    sp.add_argument("--matrix", choices=_MATRIX_CHOICES, required=True)
+    sp.add_argument("--matrix", type=lambda text: text if text == "u" else _level("v", text),
+                    required=True, help="u, or vN for a level N >= 2")
     common(sp)
     sp.set_defaults(func=cmd_verify_rmatrix)
 
     sp = sub.add_parser("dirac", help="Legendre/Dirac analysis of a level Lagrangian")
-    sp.add_argument("--lagrangian", choices=("l2", "l3", "l4"), required=True)
+    sp.add_argument("--lagrangian", type=lambda text: _level("l", text), required=True,
+                    help="lN for a level N >= 2")
     sp.add_argument("--direction", choices=("time", "space"), required=True)
     common(sp)
     sp.set_defaults(func=cmd_dirac)
 
     sp = sub.add_parser("sim", help="numerical conservation checks")
-    sp.add_argument("--case", choices=("planewave", "custom", "soliton"), default="planewave")
+    sp.add_argument("--case", choices=("planewave", "custom"), default="planewave")
     sp.add_argument("--check", choices=("charges", "monodromy"), default="charges")
     sp.add_argument("--grid", type=int, default=256)
     sp.add_argument("--steps", type=int, default=8000)
     sp.add_argument("--t-end", type=float, default=1.0)
-    sp.add_argument("--kappa", type=float, default=None,
-                    help="sign and size of the nonlinearity; default -1 for the soliton, else 1")
+    sp.add_argument("--kappa", type=float, default=1.0, help="sign and size of the nonlinearity")
     sp.add_argument("--tol", type=float, default=1e-6)
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--csv", default=None, help="write the charge time series as CSV")

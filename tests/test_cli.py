@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from nlsdual import brackets, hierarchy
 from nlsdual.cli import main
 
 SRC = Path(__file__).resolve().parents[1] / "src"
@@ -60,6 +61,45 @@ def test_verify_rmatrix_all(capsys, matrix):
     assert rep["status"] == "pass"
 
 
+def test_verify_rmatrix_v6_is_the_library_check(capsys):
+    code, rep = run(capsys, "verify-rmatrix", "--matrix", "v6")
+    V6 = hierarchy.generate_partner(hierarchy.build_u(), +1, 6)
+    T6 = brackets.dirac_pipeline(brackets.build_level_lagrangian(6), "space").table
+    expected = brackets.verify_rmatrix(V6, T6, -1)
+    assert code == 0
+    assert rep["status"] == expected["status"] == "pass"
+    assert rep["config"] == {"matrix": "v6", "gamma": -1}
+    assert rep["result"] == json.loads(json.dumps(expected, default=str))
+
+
+@pytest.mark.parametrize("direction", ["time", "space"])
+def test_dirac_l6_is_the_library_analysis(capsys, direction):
+    code, rep = run(capsys, "dirac", "--lagrangian", "l6", "--direction", direction)
+    res = brackets.dirac_pipeline(brackets.build_level_lagrangian(6), direction)
+    ham = brackets.hamilton_check(res, hierarchy.evolution_rules(6))
+    assert code == 0
+    assert rep["status"] == ham["status"] == "pass"
+    assert rep["config"] == {"lagrangian": "l6", "direction": direction}
+    assert rep["level"] == 6
+    assert list(rep["constraints"]) == list(res.constraints.constraint_names)
+    assert rep["hamiltonian_density"] == repr(res.hamiltonian_density)
+    assert rep["bracket_table"] == {f"{{{a!r}, {b!r}}}": repr(v)
+                                    for a, b, v in res.table.nonzero_pairs()}
+    assert rep["hamilton_equations"] == json.loads(json.dumps(ham, default=str))
+
+
+@pytest.mark.parametrize("spelling", ["v0", "v1", "l0", "l1", "vx", "v", "v03", "l-2", "u2", "6"])
+@pytest.mark.parametrize("argv", [["verify-rmatrix", "--matrix"],
+                                  ["dirac", "--direction", "time", "--lagrangian"]],
+                         ids=["matrix", "lagrangian"])
+def test_a_level_other_than_N_at_least_2_in_plain_decimal_is_a_usage_error(
+        capsys, argv, spelling):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, spelling])
+    assert exc.value.code == 2
+    assert f"{spelling!r} is not" in capsys.readouterr().err
+
+
 def test_dirac_l2_time_report(capsys):
     code, rep = run(capsys, "dirac", "--lagrangian", "l2", "--direction", "time")
     assert code == 0
@@ -108,26 +148,15 @@ def test_sim_plane_wave_rejects_non_positive_kappa(capsys, kappa):
 @pytest.mark.parametrize("argv, kappa", [
     ([], 1.0),
     (["--case", "custom"], 1.0),
-    (["--case", "soliton"], -1.0),
-    (["--case", "soliton", "--kappa", "-2"], -2.0),
-], ids=["planewave", "custom", "soliton", "soliton-explicit"])
+], ids=["planewave", "custom"])
 def test_sim_kappa_defaults_to_the_case_sign_and_is_in_config(capsys, argv, kappa):
     code, rep = run(capsys, "sim", *argv, "--grid", "32", "--steps", "20", "--t-end", "0.001")
     assert code in (0, 1) and rep["status"] in ("pass", "fail")
     assert rep["config"]["kappa"] == rep["kappa"] == kappa
 
 
-@pytest.mark.parametrize("kappa", ["0.5", "0", "nan"])
-def test_sim_soliton_rejects_non_negative_kappa(capsys, kappa):
-    # the bright soliton A sech(A x) is a solution only when focusing
-    code, rep = run(capsys, "sim", "--case", "soliton", "--kappa", kappa,
-                    "--grid", "32", "--steps", "10")
-    assert code == 2
-    assert rep["status"] == "error" and "--kappa" in rep["error"]
-
-
 @pytest.mark.parametrize("case, kappa", [("custom", "nan"), ("custom", "inf"),
-                                         ("planewave", "inf"), ("soliton", "-inf")])
+                                         ("planewave", "inf"), ("custom", "-inf")])
 def test_sim_rejects_a_non_finite_kappa(capsys, case, kappa):
     code, rep = run(capsys, "sim", "--case", case, f"--kappa={kappa}",
                     "--grid", "32", "--steps", "50")
@@ -148,7 +177,16 @@ def test_sim_rejects_a_tolerance_that_is_not_finite_and_positive(capsys, tol):
 def test_sim_rejects_a_non_finite_time_span(capsys, t_end):
     code, rep = run(capsys, "sim", "--t-end", t_end, "--grid", "32", "--steps", "10")
     assert code == 2
-    assert rep["status"] == "error" and "t_span" in rep["error"]
+    assert rep["status"] == "error" and "--t-end" in rep["error"]
+
+
+@pytest.mark.parametrize("t_end", ["0", "-0.1"])
+def test_sim_rejects_a_time_span_that_is_not_positive(capsys, t_end):
+    # at --t-end 0 both drifts are 0.0, so the check would pass untested
+    code, rep = run(capsys, "sim", "--check", "monodromy", f"--t-end={t_end}",
+                    "--grid", "16", "--steps", "10")
+    assert code == 2
+    assert rep["status"] == "error" and "--t-end must be finite and positive" in rep["error"]
 
 
 def test_sim_csv_writes_the_charge_series(tmp_path, capsys):
