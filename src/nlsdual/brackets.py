@@ -433,11 +433,15 @@ def _momentum_of(c: JetVar) -> JetVar:
     return JetVar("P_" + c.field, 0)
 
 
-def _solve_linear_coeff_system(A: list[list[Coeff]], rhs: list[DiffPoly]) -> list[DiffPoly]:
-    """Solve A x = rhs exactly (A constant, entries invertible where pivoted)."""
+def _solve_linear_coeff_system(A: list[list[Coeff]],
+                               rhs: list[list[DiffPoly]]) -> list[list[DiffPoly]]:
+    """Solve A X = rhs exactly (A constant, entries invertible where pivoted)
+    for several right-hand sides in one elimination: row i of ``rhs`` holds
+    the i-th entry of each, and row i of the result the i-th entry of each
+    solution."""
     n = len(A)
     M = [row[:] for row in A]
-    b = rhs[:]
+    b = [row[:] for row in rhs]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -450,24 +454,22 @@ def _solve_linear_coeff_system(A: list[list[Coeff]], rhs: list[DiffPoly]) -> lis
         b[col], b[piv] = b[piv], b[col]
         inv = M[col][col].inverse()
         M[col] = [x * inv for x in M[col]]
-        b[col] = b[col].scale(inv)
+        b[col] = [x.scale(inv) for x in b[col]]
         for r in range(n):
             if r == col or M[r][col].is_zero():
                 continue
             f = M[r][col]
             M[r] = [x - f * y for x, y in zip(M[r], M[col])]
-            b[r] = b[r] - b[col].scale(f)
+            b[r] = [x - y.scale(f) for x, y in zip(b[r], b[col])]
     return b
 
 
 def _invert_coeff_matrix(A: list[list[Coeff]]) -> list[list[Coeff]]:
+    """A^-1, solving for every column of the identity in one elimination."""
     n = len(A)
-    cols = []
-    for j in range(n):
-        e = [DiffPoly.const(Coeff.one()) if i == j else _Z for i in range(n)]
-        cols.append(_solve_linear_coeff_system(A, e))
-    out = [[cols[j][i].coefficient(()) for j in range(n)] for i in range(n)]
-    return out
+    one = DiffPoly.const(Coeff.one())
+    X = _solve_linear_coeff_system(A, [[one if i == j else _Z for j in range(n)] for i in range(n)])
+    return [[x.coefficient(()) for x in row] for row in X]
 
 
 def _constraint_rank(fieldname: str) -> int:
@@ -505,7 +507,8 @@ def _legendre(Lwork: DiffPoly, coords: list[JetVar], xi):
         rest = pi_exprs[i] - DiffPoly.sum(DiffPoly.var(velocities[j], c) for j, c in zip(solvable, row))
         A.append(row)
         bvec.append(DiffPoly.var(momenta[i]) - rest)
-    sol_vel = dict(zip((velocities[i] for i in solvable), _solve_linear_coeff_system(A, bvec)))
+    sol = _solve_linear_coeff_system(A, [[e] for e in bvec])
+    sol_vel = {velocities[i]: x for i, (x,) in zip(solvable, sol)}
 
     Hc = DiffPoly.sum(DiffPoly.var(p) * DiffPoly.var(v) for p, v in zip(momenta, velocities))
     Hc = (Hc - Lwork)._replace_jets(sol_vel)

@@ -157,6 +157,17 @@ def cmd_sim(args) -> int:
     n, L, kappa = args.grid, np.pi, args.kappa
     if not math.isfinite(kappa):
         raise ValueError(f"--kappa must be finite, got {kappa}")
+    # checked here so that the error names the flag, not the numlab argument
+    # or numpy call it would break
+    if n < 16:
+        raise ValueError(f"--grid must be at least 16, got {n}")
+    if args.steps < 4:
+        raise ValueError(f"--steps must be at least 4 (the run records 5 snapshots), got {args.steps}")
+    if args.check == "monodromy" and args.steps % 2:
+        raise ValueError(f"--check monodromy needs an even --steps (the t-transfer takes two "
+                         f"steps at a time), got {args.steps}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be non-negative, got {args.seed}")
     # drift < inf passes whatever the drift, drift < nan or < 0 never passes, and
     # a span of 0 compares the initial state with itself, so every check passes
     for flag, value in (("--tol", args.tol), ("--t-end", args.t_end)):

@@ -10,7 +10,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from nlsdual.brackets import _BASE_FIELDS, _chain_field, _mu_field, leibniz_bracket
+from nlsdual.brackets import (_BASE_FIELDS, _chain_field, _mu_field, _solve_linear_coeff_system,
+                              leibniz_bracket)
 from nlsdual.laxalg import LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2
 from nlsdual.ringcore import (KAPPA, PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
                               _accumulate, _jet_key)
@@ -212,6 +213,18 @@ def matrix_bracket_per_pair(A, B, table):
     return TensorMatrix({k: tuple(v) for k, v in acc.items()})
 
 
+def invert_coeff_matrix_per_column(A) -> list:
+    """A^-1 by one full elimination per column of the identity, each column
+    solved as its own system: the O(n^4) route that one elimination over all
+    columns replaced."""
+    n = len(A)
+    cols = []
+    for j in range(n):
+        e = [[DiffPoly.const(Coeff.one()) if i == j else DiffPoly.zero()] for i in range(n)]
+        cols.append([x for (x,) in _solve_linear_coeff_system(A, e)])
+    return [[cols[j][i].coefficient(()) for j in range(n)] for i in range(n)]
+
+
 def station_derivatives_matmul(fields, half_length: float, station: int, order: int) -> list:
     """``numlab._station_derivatives`` with one matrix-vector product per
     order instead of a dot per row: the same circulant filter, applied as
@@ -293,6 +306,19 @@ def ordered_product_stacked(P: np.ndarray) -> np.ndarray:
             pairs[-1] = matmul2_stacked(P[-1], pairs[-1])
         P = pairs
     return P[0]
+
+
+def entry_arrays_dense(M, values, kappa: float, npts: int) -> dict:
+    """For each lambda power, M's entries over the npts points as one
+    (npts, 2, 2) array, its zero entries included as zeros."""
+    out = {}
+    for p, e in M.coeffs.items():
+        arr = np.zeros((npts, 2, 2), dtype=complex)
+        for i, x in enumerate(e):
+            if not x.is_zero():
+                arr[:, i // 2, i % 2] = x.evaluate(values, kappa)
+        out[p] = arr
+    return out
 
 
 def entry_columns(stacked: np.ndarray) -> tuple:

@@ -20,7 +20,8 @@ from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, gener
 from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, nls_hamiltonian_density,
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
                      full_euler, is_antisymmetric, is_balanced, jacobi_defect,
-                     multipliers_from_euler_lagrange, byparts_normal_form_stepwise)
+                     multipliers_from_euler_lagrange, byparts_normal_form_stepwise,
+                     invert_coeff_matrix_per_column)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -420,6 +421,22 @@ def _assert_constraints_dirac_commute(res):
                          ids=["L2-time", "L3-space", "L4-space", "L5-space"])
 def test_constraints_dirac_commute(level, direction):
     _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(level), direction))
+
+
+@pytest.mark.parametrize("level,direction", [(2, "time")] + [(n, "space") for n in range(3, 9)],
+                         ids=["L2-time"] + [f"L{n}-space" for n in range(3, 9)])
+def test_constraint_matrix_inverse_is_the_per_column_one(level, direction):
+    # one elimination over every column of the identity gives the inverse
+    # that one elimination per column gives
+    M = [list(row) for row in dirac_pipeline(build_level_lagrangian(level), direction).constraints.M]
+    n = len(M)
+    assert n >= 2
+    Minv = B._invert_coeff_matrix(M)
+    assert Minv == invert_coeff_matrix_per_column(M)
+    for i in range(n):
+        for j in range(n):
+            entry = sum((M[i][k] * Minv[k][j] for k in range(n)), Coeff.zero())
+            assert entry == (Coeff.one() if i == j else Coeff.zero())
 
 
 @pytest.mark.parametrize("level", [2, 3])

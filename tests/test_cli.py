@@ -189,6 +189,20 @@ def test_sim_rejects_a_time_span_that_is_not_positive(capsys, t_end):
     assert rep["status"] == "error" and "--t-end must be finite and positive" in rep["error"]
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--grid", "0"], "--grid must be at least 16, got 0"),
+    (["--grid", "15"], "--grid must be at least 16, got 15"),
+    (["--steps", "0"], "--steps must be at least 4"),
+    (["--steps", "3"], "--steps must be at least 4"),
+    (["--check", "monodromy", "--steps", "9"], "--check monodromy needs an even --steps"),
+    (["--case", "custom", "--seed", "-1"], "--seed must be non-negative, got -1"),
+], ids=["grid-0", "grid-15", "steps-0", "steps-3", "odd-steps-monodromy", "seed-minus-1"])
+def test_sim_rejects_a_bad_integer_flag_by_name(capsys, argv, message):
+    code, rep = run(capsys, "sim", "--grid", "16", "--steps", "10", "--t-end", "0.01", *argv)
+    assert code == 2
+    assert rep["status"] == "error" and rep["error"].startswith(message)
+
+
 def test_sim_csv_writes_the_charge_series(tmp_path, capsys):
     csv = tmp_path / "charges.csv"
     code, rep = run(capsys, "sim", "--check", "charges", "--grid", "32", "--steps", "200",

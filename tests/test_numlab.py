@@ -10,7 +10,8 @@ import pytest
 
 from nlsdual import numlab as N
 from nlsdual.hierarchy import build_u, density_ladder, evolution_rules, generate_partner
-from helpers import (pj, qj, v, entry_columns, evolve_nls_per_stage,
+from nlsdual.laxalg import LaxMatrix
+from helpers import (pj, qj, v, entry_arrays_dense, entry_columns, evolve_nls_per_stage,
                      ordered_product_stacked, rk4_transfer_sequential, station_derivatives_matmul,
                      step_propagators_stacked, transfer_along_t_per_record)
 
@@ -92,11 +93,22 @@ def _workload_plane_wave() -> N.GridState:
     (lambda: _generic_field(33), (0.0, 0.1), 300),
     (lambda: N.GridState(_generic_field(64).samples, np.pi, -1.0), (0.0, 0.1), 300),
     (_workload_plane_wave, (0.0, 200 / 8000), 200),
-], ids=["odd-grid-33", "kappa-minus-1", "workload-plane-wave-256"])
+    (lambda: _generic_field(16), (0.0, 0.1), 300),
+    (lambda: N.GridState(_generic_field(64).samples, np.pi, 0.37), (0.0, 0.1), 300),
+], ids=["odd-grid-33", "kappa-minus-1", "workload-plane-wave-256", "min-grid-16", "kappa-0.37"])
 def test_evolution_is_bitwise_the_per_stage_reference_across_cases(make, span, steps):
     st = make()
     traj = N.evolve_nls(st, span, steps, n_snapshots=3, record_fine=True)
     assert np.array_equal(traj.fine_fields, evolve_nls_per_stage(st, span, steps))
+
+
+@pytest.mark.slow
+def test_workload_trajectory_is_bitwise_the_per_stage_reference():
+    # the benchmark's whole run, 8000 steps over one time period; the default
+    # suite checks its first 200 steps
+    st = _workload_plane_wave()
+    traj = N.evolve_nls(st, (0.0, 1.0), 8000, n_snapshots=5, record_fine=True)
+    assert np.array_equal(traj.fine_fields, evolve_nls_per_stage(st, (0.0, 1.0), 8000))
 
 
 def test_unrecorded_evolution_snapshots_are_bitwise_the_per_stage_reference():
@@ -223,6 +235,19 @@ def test_free_transfer_matrix_closed_form():
     assert abs(np.trace(s.matrices[0]) - 2 * np.cos(lam * np.pi)) < 1e-8
 
 
+def test_transfer_of_a_matrix_with_an_entry_zero_at_every_power():
+    # the diagonal part of U alone: its off-diagonal entries are zero at
+    # every lambda power, and on any field T = diag(exp(-i lam L), exp(i lam L))
+    D = LaxMatrix({1: U.coeffs[1]}, xi="x")
+    lam = 1.3
+    s = N.transfer_matrix(D, _generic_field(64), [lam], "along_x", substeps=4)
+    want = np.diag([np.exp(-1j * lam * np.pi), np.exp(1j * lam * np.pi)])
+    assert np.max(np.abs(s.matrices[0] - want)) < 1e-8
+    # and the zero matrix, which has no lambda power at all, transfers to I
+    s = N.transfer_matrix(LaxMatrix({}, xi="x"), _generic_field(64), [lam], "along_x")
+    assert np.array_equal(s.matrices[0], np.eye(2))
+
+
 def test_transfer_det_one_and_trace_conservation():
     st = N.plane_wave(128, np.pi, 1.0, 0.9, 2)
     traj = N.evolve_nls(st, (0.0, 0.5), 2000, n_snapshots=3)
@@ -338,6 +363,27 @@ def test_entry_array_kernels_match_the_stacked_ones_bitwise(n_steps, periodic):
         want_P = step_propagators_stacked(arrays, lam, h)
         assert all(np.array_equal(P[i], want_P[:, i // 2, i % 2]) for i in range(4))
         assert np.array_equal(N._ordered_product(P), ordered_product_stacked(want_P))
+
+
+@pytest.mark.parametrize("direction", ["along_x", "along_t"])
+def test_transfer_on_lax_data_is_bitwise_the_stacked_reference(direction):
+    # U along x and V2 along t, whose zero entries transfer_matrix leaves
+    # out, against the stacked kernels fed the same samples with the zeros in
+    traj = N.evolve_nls(_generic_field(64), (0.0, 0.05), 200, n_snapshots=2, record_fine=True)
+    lams = [0.5, -1.3, 2.2]
+    if direction == "along_x":
+        M, data = U, traj.state(1)
+        derivs = N._x_derivatives(N.spectral_resample(data.samples, 4), data.half_length, 1)
+        h = data.step / 2
+    else:
+        M, data = generate_partner(U, 1, 2), traj
+        derivs = N._station_derivatives(traj.fine_fields, traj.half_length, 5, 1)
+        h = 2 * (traj.fine_times[1] - traj.fine_times[0])
+    assert any(x.is_zero() for e in M.coeffs.values() for x in e)
+    got = N.transfer_matrix(M, data, lams, direction, station=5).matrices
+    dense = entry_arrays_dense(M, N._jet_values(derivs, M.jets()), data.kappa, derivs[0].size)
+    for lam, g in zip(lams, got):
+        assert np.array_equal(g, ordered_product_stacked(step_propagators_stacked(dense, lam, h)))
 
 
 @pytest.mark.parametrize("direction", ["along_x", "along_t"])
