@@ -10,8 +10,10 @@ matrix, or the dual x-type matrices when starting from a t_n-flow matrix
 with the opposite bracket sign gamma = -1).
 
 Two independent routes to the partner matrices are provided: the order-by-
-order recursion and the expansion of the closed-form generating function;
-they must agree and are cross-checked in the test suite.
+order recursion through the Neumann series of (1+W)^-1, and the expansion of
+the closed-form generating function, which solves G (1+W) = (1+W) sigma_3
+for G = (1+W) sigma_3 (1+W)^-1 instead.  They share only W; they must agree
+and are cross-checked in the test suite.
 """
 
 from __future__ import annotations
@@ -230,27 +232,30 @@ def generate_partner(X: LaxMatrix, gamma: int, n: int, W: WSeries | None = None)
 def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | None = None) -> list[LaxMatrix]:
     """Partner matrices from the closed-form generating function.
 
-    Expands gamma*kappa/(2i(lambda-mu)) (1+W(mu)) sigma_3 (1+W(mu))^-1 in
-    1/mu to order K, via the geometric series for 1/(lambda-mu) and the
-    Neumann series for (1+W)^-1, divides out the overall kappa of the
-    expansion convention, and returns [Y^(0), ..., Y^(K-1)].  This is the
-    independent cross-check of :func:`generate_partner`.
+    Expands gamma*kappa/(2i(lambda-mu)) G(mu), G = (1+W) sigma_3 (1+W)^-1, in
+    1/mu to order K via the geometric series for 1/(lambda-mu), divides out
+    the overall kappa of the expansion convention, and returns
+    [Y^(0), ..., Y^(K-1)].  These read G[0..K-1] only, which follow from
+    G (1+W) = (1+W) sigma_3 without inverting 1+W:
+    G[0] = sigma_3 and G[n] = W^(n) sigma_3 - sum_{j=1..n} G[n-j] W^(j),
+    so a W of order >= K-1 suffices (it is solved when omitted or shorter).
+    The route shares only W with :func:`generate_partner`, of which it is the
+    independent cross-check.  Raises ValueError for K < 1.
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
-    if W is None or W.order < K:
-        W = solve_W(X, K + 1)
-    inv = _neumann_series(W, K)
+    if K < 1:
+        raise ValueError(f"generating function order K must be >= 1, got K={K}")
+    if W is None or W.order < K - 1:
+        W = solve_W(X, K - 1)
     sig = (DiffPoly.const(1), _Z, _Z, DiffPoly.const(-1))
-    # Wsig[a]: mu^-a coefficient of (1+W) sigma_3, each product formed once
-    Wsig = [_mul2(inv[0] if a == 0 else W.w(a), sig) for a in range(K + 1)]
-    # G[n]: mu^-n coefficient of (1+W) sigma_3 (1+W)^{-1}
-    G = {}
-    for n in range(K + 1):
-        prods = [_mul2(Wsig[a], inv[n - a]) for a in range(n + 1)]
-        G[n] = tuple(DiffPoly.sum(p[i] for p in prods) for i in range(4))
+    G = [sig]
+    for n in range(1, K):
+        Wsig = _mul2(W.w(n), sig)
+        prods = [_mul2(G[n - j], W.w(j)) for j in range(1, n + 1)]
+        G.append(tuple(Wsig[i] - DiffPoly.sum(p[i] for p in prods) for i in range(4)))
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in
-    # gamma*kappa/(2i) * (1+W) sigma_3 (1+W)^-1 / (lambda-mu) = kappa*sum Y^(m-1)/mu^m
+    # gamma*kappa/(2i) * G(mu) / (lambda-mu) = kappa*sum Y^(m-1)/mu^m
     # gives Y^(m-1) = (i gamma/2) * sum_{k+n=m-1} lambda^k G[n].
     pref = Coeff.make(0, Fraction(gamma, 2))
     result = []
@@ -312,9 +317,12 @@ def solve_evolution(X: LaxMatrix, Y: LaxMatrix) -> dict[JetVar, DiffPoly]:
 
 
 def evolution_rules(n: int) -> dict[JetVar, DiffPoly]:
-    """Level-n flow of the base fields, from the pair (U, V^(n))."""
+    """Level-n flow of the base fields, from the pair (U, V^(n)).
+
+    V^(n) reads W^(1)..W^(n) only, so W is solved to that order and passed in.
+    """
     U = build_u()
-    V = generate_partner(U, +1, n)
+    V = generate_partner(U, +1, n, solve_W(U, max(n, 1)))
     return solve_evolution(U, V)
 
 

@@ -12,6 +12,7 @@ import numpy as np
 
 from nlsdual.brackets import (_BASE_FIELDS, _chain_field, _mu_field, _solve_linear_coeff_system,
                               leibniz_bracket)
+from nlsdual.hierarchy import _neumann_series, _partner_direction, solve_W
 from nlsdual.laxalg import LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2
 from nlsdual.ringcore import (KAPPA, PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
                               _accumulate, _jet_key)
@@ -173,6 +174,24 @@ def alternating_products(W, n: int):
                 prod = W.w(m) if prod is None else _mul2(prod, W.w(m))
             total = _add2(total, _scale2(prod, sgn))
     return total
+
+
+def generating_function_expand_neumann(X: LaxMatrix, gamma: int, K: int) -> list:
+    """[Y^(0), ..., Y^(K-1)] from the generating function, with
+    G = (1+W) sigma_3 (1+W)^-1 formed as the product of (1+W) sigma_3 and the
+    Neumann series of (1+W)^-1 to order K, W solved to order K+1."""
+    W = solve_W(X, K + 1)
+    inv = _neumann_series(W, K)
+    sig = (DiffPoly.const(1), DiffPoly.zero(), DiffPoly.zero(), DiffPoly.const(-1))
+    Wsig = [_mul2(inv[0] if a == 0 else W.w(a), sig) for a in range(K + 1)]
+    G = {}
+    for n in range(K + 1):
+        prods = [_mul2(Wsig[a], inv[n - a]) for a in range(n + 1)]
+        G[n] = tuple(DiffPoly.sum(p[i] for p in prods) for i in range(4))
+    pref = Coeff.make(0, Fraction(gamma, 2))
+    return [LaxMatrix({k: tuple(x.scale(pref) for x in G[m - 1 - k]) for k in range(m)},
+                      xi=_partner_direction(X, m - 1))
+            for m in range(1, K + 1)]
 
 
 def leibniz_bracket_per_entry(f: DiffPoly, g: DiffPoly, table) -> DiffPoly:

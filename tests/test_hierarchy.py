@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 import sympy as sp
 
+from nlsdual import hierarchy
 from nlsdual.ringcore import Coeff, DiffPoly
 from nlsdual.laxalg import LaxMatrix
 from nlsdual.hierarchy import (_neumann_series, build_u, conserved_density, density_ladder,
@@ -14,7 +15,7 @@ from nlsdual.hierarchy import (_neumann_series, build_u, conserved_density, dens
                                solve_evolution, zero_curvature_residual, WSeries)
 from helpers import (pj, qj, v, mono, cf, nls_hamiltonian_density,
                      printed_v, printed_dual, sigma3, alternating_products, check_reality,
-                     lower_component, riccati_residual)
+                     lower_component, riccati_residual, generating_function_expand_neumann)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -171,6 +172,69 @@ def test_generating_function_order_zero_and_gamma_flip():
     assert (gen_p[0] - sigma3(half_i)).is_zero()
     for a, b in zip(gen_p, gen_m):
         assert (a + b).is_zero()  # gamma -> -gamma flips every order
+
+
+# --- the generating-function route against its Neumann-series reference -------
+
+def _partners(Ys):
+    return [(Y.xi, Y.coeffs) for Y in Ys]
+
+
+def _check_against_neumann_reference(X, gamma, K, monkeypatch):
+    want = _partners(generating_function_expand_neumann(X, gamma, K))
+    assert len(want) == K
+    assert _partners(generating_function_expand(X, gamma, K)) == want
+    if K >= 2:  # a shorter W is solved again
+        assert _partners(generating_function_expand(X, gamma, K, solve_W(X, K - 2))) == want
+    # a W of order exactly K-1 is enough: it is used as given, not solved again
+    W = solve_W(X, K - 1)
+
+    def no_solve(*args):
+        raise AssertionError("solve_W called although W was passed")
+
+    monkeypatch.setattr(hierarchy, "solve_W", no_solve)
+    assert _partners(generating_function_expand(X, gamma, K, W)) == want
+
+
+@pytest.mark.parametrize("K", range(1, 11))
+@pytest.mark.parametrize("gamma", [1, -1])
+def test_generating_function_matches_neumann_reference_on_u(gamma, K, monkeypatch):
+    _check_against_neumann_reference(U, gamma, K, monkeypatch)
+
+
+@pytest.mark.parametrize("K", range(1, 7))
+@pytest.mark.parametrize("level", [2, 3])
+def test_generating_function_matches_neumann_reference_on_dual_base(level, K, monkeypatch):
+    _check_against_neumann_reference(generate_partner(U, 1, level), -1, K, monkeypatch)
+
+
+def test_generating_function_does_not_use_the_neumann_series(monkeypatch):
+    want = _partners(generating_function_expand_neumann(U, 1, 8))
+
+    def no_neumann(*args):
+        raise AssertionError("the generating-function route built the Neumann series")
+
+    monkeypatch.setattr(hierarchy, "_neumann_series", no_neumann)
+    assert _partners(generating_function_expand(U, 1, 8)) == want
+
+
+@pytest.mark.parametrize("K", [0, -1, -5])
+def test_generating_function_rejects_order_below_one(K):
+    with pytest.raises(ValueError, match=rf"K={K}\b"):
+        generating_function_expand(U, 1, K)
+
+
+@pytest.mark.slow
+def test_two_routes_agree_through_v13():
+    W = solve_W(U, 13)
+    gen = generating_function_expand(U, 1, 14, W)
+    assert _partners(gen) == _partners(generate_partner(U, 1, n, W) for n in range(14))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_evolution_rules_match_the_default_partner(n):
+    want = solve_evolution(U, generate_partner(U, 1, n))
+    assert list(evolution_rules(n).items()) == list(want.items())
 
 
 # --- zero curvature ---------------------------------------------------------------
