@@ -257,12 +257,11 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in
     # gamma*kappa/(2i) * G(mu) / (lambda-mu) = kappa*sum Y^(m-1)/mu^m
     # gives Y^(m-1) = (i gamma/2) * sum_{k+n=m-1} lambda^k G[n].
+    # each G[n] is scaled once and shared by the K - n matrices that read it
     pref = Coeff.make(0, Fraction(gamma, 2))
-    result = []
-    for m in range(1, K + 1):
-        coeffs = {k: tuple(x.scale(pref) for x in G[m - 1 - k]) for k in range(m)}
-        result.append(LaxMatrix(coeffs, xi=_partner_direction(X, m - 1)))
-    return result
+    G = [tuple(x.scale(pref) for x in g) for g in G]
+    return [LaxMatrix({k: G[m - 1 - k] for k in range(m)}, xi=_partner_direction(X, m - 1))
+            for m in range(1, K + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -311,12 +311,6 @@ class TensorMatrix:
             return NotImplemented
         return (self - other).is_zero()
 
-    def entries(self):
-        for pw, e in sorted(self.coeffs.items()):
-            for idx in range(16):
-                if not e[idx].is_zero():
-                    yield pw, idx // 4, idx % 4, e[idx]
-
 
 _PERM_COL = (0, 2, 1, 3)  # column swap realising right-multiplication by P_12
 
@@ -345,20 +339,26 @@ def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:
     Computed exactly in the divided-difference product form
     gamma * kappa * ((DA x I) - (I x DA)) * P_12 with
     DA = (A(mu) - A(lambda)) / (mu - lambda); the rational pole is never
-    materialised.
+    materialised.  Every (lambda, mu)-block (a, b) of DA with a + b = j - 1
+    holds the entries of A_j, so the 16-entry block is built once per
+    lambda-power j and shared by those j keys.
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
     g = Coeff.make(gamma) * KAPPA
+    blocks: dict[int, Entry4] = {}
     out = {}
-    for pw, e in divided_difference(A).items():
-        t = [_Z] * 16
-        for i in range(2):
-            for k in range(2):
-                row = 4 * (2 * i + k)
-                for jj in range(2):
-                    # (DA x I)[(i,k),(jj,k)] - (I x DA)[(i,k),(i,jj)], columns permuted by P_12
-                    t[row + _PERM_COL[2 * jj + k]] += e[2 * i + jj]
-                    t[row + _PERM_COL[2 * i + jj]] -= e[2 * k + jj]
-        out[pw] = tuple(x.scale(g) for x in t)
+    for (a, b), e in divided_difference(A).items():
+        j = a + b + 1
+        if j not in blocks:
+            t = [_Z] * 16
+            for i in range(2):
+                for k in range(2):
+                    row = 4 * (2 * i + k)
+                    for jj in range(2):
+                        # (DA x I)[(i,k),(jj,k)] - (I x DA)[(i,k),(i,jj)], columns permuted by P_12
+                        t[row + _PERM_COL[2 * jj + k]] += e[2 * i + jj]
+                        t[row + _PERM_COL[2 * i + jj]] -= e[2 * k + jj]
+            blocks[j] = tuple(x.scale(g) for x in t)
+        out[(a, b)] = blocks[j]
     return TensorMatrix(out)

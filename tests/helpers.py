@@ -11,9 +11,10 @@ from fractions import Fraction
 import numpy as np
 
 from nlsdual.brackets import (_BASE_FIELDS, _chain_field, _mu_field, _solve_linear_coeff_system,
-                              leibniz_bracket)
+                              leibniz_bracket, matrix_bracket)
 from nlsdual.hierarchy import _neumann_series, _partner_direction, solve_W
-from nlsdual.laxalg import LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2
+from nlsdual.laxalg import (LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2,
+                            rmatrix_bracket_rhs)
 from nlsdual.ringcore import (KAPPA, PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, JetVar, Monomial,
                               _accumulate, _jet_key)
 
@@ -230,6 +231,31 @@ def matrix_bracket_per_pair(A, B, table):
                             idx = 4 * (2 * i + k) + (2 * j + l)
                             cur[idx] = cur[idx] + leibniz_bracket_per_entry(x, y, table)
     return TensorMatrix({k: tuple(v) for k, v in acc.items()})
+
+
+def tensor_entries(T: TensorMatrix):
+    """(bigrade, row, column, entry) for each nonzero entry of T, blocks in
+    sorted order."""
+    for pw, e in sorted(T.coeffs.items()):
+        for idx in range(16):
+            if not e[idx].is_zero():
+                yield pw, idx // 4, idx % 4, e[idx]
+
+
+def verify_rmatrix_by_difference(A, table, gamma: int) -> dict:
+    """``brackets.verify_rmatrix``'s report from the whole difference
+    {A_1, A_2} - rhs, a TensorMatrix, read entry by entry."""
+    diff = matrix_bracket(A, A, table) - rmatrix_bracket_rhs(A, gamma)
+    residuals = [
+        {"lambda_pow": pw[0], "mu_pow": pw[1], "row": i, "col": j, "residual": repr(v)}
+        for pw, i, j, v in tensor_entries(diff)
+    ]
+    return {
+        "identity": f"ultralocal r-matrix algebra, table {table.label or 'unnamed'}",
+        "gamma": gamma,
+        "status": "pass" if not residuals else "fail",
+        "per_entry_residuals": residuals,
+    }
 
 
 def invert_coeff_matrix_per_column(A) -> list:

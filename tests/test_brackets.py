@@ -1,6 +1,7 @@
 """Bracket tables, Dirac pipelines against the printed structures, r-matrix
 identities (with an independent sympy cross-check), normal forms."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -21,7 +22,7 @@ from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, nls_hamilt
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
                      full_euler, is_antisymmetric, is_balanced, jacobi_defect,
                      multipliers_from_euler_lagrange, byparts_normal_form_stepwise,
-                     invert_coeff_matrix_per_column)
+                     invert_coeff_matrix_per_column, verify_rmatrix_by_difference)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -201,6 +202,19 @@ def test_rmatrix_wrong_gamma_fails_with_residuals():
     rep = verify_rmatrix(U, table_S(), -1)
     assert rep["status"] == "fail"
     assert rep["per_entry_residuals"]
+
+
+@pytest.mark.parametrize("level, table_level, gamma, status", [
+    (0, 0, 1, "pass"), (0, 0, -1, "fail"), (2, 2, -1, "pass"), (3, 3, -1, "pass"),
+    (3, 3, 1, "fail"), (0, 3, 1, "fail"), (0, 3, -1, "fail")])
+def test_rmatrix_report_is_that_of_the_whole_difference(level, table_level, gamma, status):
+    # comparing entry by entry reports what the TensorMatrix difference
+    # reports, byte for byte, on passing and failing inputs alike (table 0 is S)
+    A = U if level == 0 else generate_partner(U, 1, level)
+    table = table_S() if table_level == 0 else table_T(table_level)
+    got = verify_rmatrix(A, table, gamma)
+    assert got["status"] == status
+    assert json.dumps(got) == json.dumps(verify_rmatrix_by_difference(A, table, gamma))
 
 
 def test_matrix_bracket_against_sympy_oracle():

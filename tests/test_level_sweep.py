@@ -17,7 +17,7 @@ import pytest
 from nlsdual.brackets import (BracketTable, build_level_lagrangian, dirac_pipeline,
                               hamilton_check, verify_rmatrix)
 from nlsdual.hierarchy import build_u, evolution_rules, generate_partner
-from helpers import matrix_bracket_per_pair
+from helpers import matrix_bracket_per_pair, tensor_entries
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 U = build_u()
@@ -56,7 +56,7 @@ def test_negated_t8_entry_fails_and_names_the_entries(kind):
     assert rep["status"] == "fail"
     # negating T[a, b] moves {V_1, V_2} by -2 times its bracket under that entry alone
     shift = matrix_bracket_per_pair(V8, V8, BracketTable(T8.coords, {(a, b): t}))
-    want = {(pw[0], pw[1], i, j): repr(w.scale(-2)) for pw, i, j, w in shift.entries()}
+    want = {(pw[0], pw[1], i, j): repr(w.scale(-2)) for pw, i, j, w in tensor_entries(shift)}
     got = {(r["lambda_pow"], r["mu_pow"], r["row"], r["col"]): r["residual"]
            for r in rep["per_entry_residuals"]}
     assert want and got == want

@@ -348,10 +348,12 @@ def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
 
 
 @pytest.mark.parametrize("periodic", [True, False])
-@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 7, 64, 513, 1001])
+@pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 7, 64, 513, 1001, 1023, 1024, 1025, 2049, 4000])
 def test_entry_array_kernels_match_the_stacked_ones_bitwise(n_steps, periodic):
     # the same operations in the same order on one array per entry, so every
-    # propagator and every product is bit for bit that of (n, 2, 2) arrays
+    # propagator and every product is bit for bit that of (n, 2, 2) arrays;
+    # the steps around and beyond one block (_BLOCK_STEPS, 1024) put the
+    # periodic wrap in a full, a short and a one-step last block
     rng = np.random.default_rng(1000 + n_steps)
     npts = 2 * n_steps + (0 if periodic else 1)
     arrays = {p: rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))

@@ -18,9 +18,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ROADMAP item 5 gives these their callers in src/: one W-series per
-# matrix, shared by its partners and generating function
-EXEMPT = {"hierarchy.generate_partner(W)", "hierarchy.generating_function_expand(W)"}
+# ROADMAP item 5 gives this its caller in src/: one W-series per matrix,
+# shared by its partners and generating function
+EXEMPT = {"hierarchy.generating_function_expand(W)"}
 
 _CONSTRUCTORS = ("__init__", "__new__")
 
