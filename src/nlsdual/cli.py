@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 from . import hierarchy
@@ -148,9 +149,19 @@ def cmd_dirac(args) -> int:
     return _emit(rep, args)
 
 
+# the variables by which a user chooses OpenBLAS's thread count, in the order
+# OpenBLAS reads them
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")
+
+
 def cmd_sim(args) -> int:
     # The only numerical command: numpy and numlab are imported here, so the
-    # exact commands start without them.
+    # exact commands start without them.  Nothing sim computes is large enough
+    # for OpenBLAS to hand to its worker threads, whose pool starts with numpy
+    # and lengthens its import, so sim asks for one thread unless the user
+    # chose a count or numpy is loaded already (its pool has started).
+    if "numpy" not in sys.modules and not any(v in os.environ for v in _BLAS_THREAD_VARS):
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
     import numpy as np
     from . import numlab
 
@@ -190,9 +201,16 @@ def cmd_sim(args) -> int:
         prof = 0.7 + 0.2 * np.cos(x) + 0.1 * rng.standard_normal()
         state = numlab.GridState(prof * np.exp(1j * x), L, kappa)
 
-    traj = numlab.evolve_nls(state, (0.0, args.t_end), args.steps,
-                             n_snapshots=5, record_fine=(args.check == "monodromy"))
     U = hierarchy.build_u()
+    # the t-transfers' stations and x-order are known up front, so the run
+    # streams their jets rather than recording every step
+    V2, stations, order = None, (), 0
+    if args.check == "monodromy" and args.case == "planewave":
+        V2 = hierarchy.generate_partner(U, +1, 2)
+        stations = (0, n // 4, n // 2, (3 * n) // 4)
+        order = max(v.dx for v in V2.jets())
+    traj = numlab.evolve_nls(state, (0.0, args.t_end), args.steps, n_snapshots=5,
+                             stations=stations, station_order=order)
     body: dict = {"case": args.case, "kappa": kappa}
     ok = True
     if args.check == "charges":
@@ -226,10 +244,9 @@ def cmd_sim(args) -> int:
         drift_u = float(np.max(np.abs(traces - traces[0]) / np.abs(traces[0])))
         body["space_monodromy_trace_drift"] = drift_u
         ok = drift_u < args.tol
-        if args.case == "planewave":
-            V2 = hierarchy.generate_partner(U, +1, 2)
+        if V2 is not None:
             trs = []
-            for station in (0, n // 4, n // 2, (3 * n) // 4):
+            for station in stations:
                 s = numlab.transfer_matrix(V2, traj, lams, "along_t",
                                            station=station, det_tol=1e-8)
                 trs.append(s.traces())

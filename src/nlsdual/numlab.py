@@ -10,7 +10,8 @@ periodic cell in either the x- or the t-direction to produce transfer
 The RK4 stepper allocates nothing per step: its stage buffers are made once,
 every FFT and ufunc writes into them in the order of the plain expression
 (so trajectories are bit for bit those of the allocating form), each step
-lands directly in its row of the recorded fields, and a single reduction,
+lands directly in its row of the recorded fields or of the streaming ring,
+and a single reduction,
 sum |psi|^2, catches NaN, inf and norm blowup.  At 256 points a step is
 bound by per-call overhead, not arithmetic, and about half of each FFT call
 is ``np.fft``'s Python wrapper (at n = 256 on a 2-vCPU VM, fft 10.2
@@ -33,31 +34,50 @@ coefficient multiplies complex by complex; a float operand would be cast on
 every call (0.96 against 0.49 us at n = 256).
 
 Both directions sample psi and its x-derivatives along the integration
-line (a supersampled snapshot, or one station for every recorded step);
-one jet evaluator maps them onto psi/psibar jets.  The ODE is linear, so
-each RK4 step is a 2x2 propagator: for each lambda they are written into one
-array per matrix entry, and their ordered product is taken by pairwise tree
+line (a supersampled snapshot, or one station for every time step); one jet
+evaluator maps them onto psi/psibar jets.  The ODE is linear, so each RK4
+step is a 2x2 propagator: for each lambda they are written into one array
+per matrix entry, and their ordered product is taken by pairwise tree
 reduction.  Zero entries stay out of the lambda-sum (x + 0 is x), and the
 samples at the start, middle and end of each step are strided views of the
-lambda-sum, not fancy-indexed copies; only the periodic end point takes a
-``concatenate``.  The propagators are built ``_BLOCK_STEPS`` = 1024 steps at
-a time, so that a block's lambda-sum, stages and temporaries (about 0.5 MB)
-stay in a core's L2 cache, where at full length they reached 1.7 MB for the
-4000 steps of an 8001-record trajectory.  Built at once, that transfer
-peaked about 1.0 MB higher (tracemalloc, one lambda); per station, with four
-lambdas, the propagators and their product took 3.7-5.5 ms in blocks of
-1024 steps, against 5.1-8.9 ms in blocks of 512, 4.0-6.0 ms in blocks of
-2048 and 4.2-7.2 ms at full length (min of 30, in three rounds on a shared
-2-vCPU VM).  The blocks change no bits: each element sees the same
-operations in the same order.
+lambda-sum, not fancy-indexed copies.
 
-Along t, each station derivative is one dot product per recorded row
+A transfer consumes its samples ``_BLOCK_STEPS`` = 1024 steps at a time,
+blocks in the outer loop: a block takes its station jets (or its slice of
+the x-jets), evaluates M's entries on them once, builds every lambda's
+propagators and reduces them by the first L = min(v2(n_steps), 10) levels
+of the product tree.  The blocks start at multiples of 2^L and no level up
+to L has an odd length, so each block's partial products are exactly its
+slice of the whole tree's level-L array, and only those (125 per lambda for
+4000 steps) outlive the block; the tree is finished from them, for every
+lambda in one batched product per level.  So every element sees the same
+operations in the same order as on full-length arrays, and nothing changes
+a bit.  A block's samples, entries, stages and temporaries (about 0.5 MB)
+stay in a core's L2 cache; at full length an along-t transfer of an
+8001-step trajectory held station jets, entry arrays and propagators of
+1.96 MB (tracemalloc), in blocks 0.86 MB.  Per station, with four lambdas,
+the propagators and their product took 3.7-5.5 ms in blocks of 1024 steps,
+against 5.1-8.9 ms in blocks of 512, 4.0-6.0 ms in blocks of 2048 and
+4.2-7.2 ms at full length (min of 30, in three rounds on a shared 2-vCPU
+VM).  A process's first call of some numpy loops (np.power, an integer
+remainder, argmax) raises its peak RSS by about 0.12 MB each, so the
+transfers call none that the rest of a run does not need.
+
+Along t, each station derivative is one dot product per time step
 (``np.vecdot``), which OpenBLAS runs as ``zdotc`` on the calling thread.  A
 matrix-vector product ``fields @ filt`` would go to OpenBLAS's threaded
 ``zgemv``, whose hand-off to its worker threads took a median 8.0 ms per
 call on a 2-vCPU VM, on a 401 x 32 record and an 8001 x 256 one alike; the
-per-row dots took 0.018 ms and 1.5-2.4 ms.  No thread count is set: that
-would be a knob and a process-wide side effect.
+per-row dots took 0.018 ms and 1.5-2.4 ms.  No thread count is set here:
+that would be a process-wide side effect of importing the library.  The
+jets come from one of two places.  A run recorded with ``record_fine``
+keeps every step (8001 x 256 complex values are 33 MB), and the transfer
+takes each block's jets from its rows.  A run told its stations and x-order
+up front streams them instead: ``evolve_nls`` keeps the last
+``_RING_ROWS`` = 64 steps in a ring and, when it is full, takes their jets
+at every station and order with one broadcast ``np.vecdot``, still one
+``zdotc`` per row, so the streamed jets and every transfer from them are
+bit for bit those of the record.
 
 A flow matrix enters the transfer with x-jets only: any t-jets in it are
 first replaced by the symbolic evolution rules, so they are never computed
@@ -121,7 +141,10 @@ def spectral_derivative(samples: np.ndarray, half_length: float, order: int = 1)
     if order < 0:
         raise ValueError(f"derivative order must be >= 0, got order={order}")
     n = samples.size
-    mult = (1j * _wavenumbers(n, half_length)) ** order
+    ik = 1j * _wavenumbers(n, half_length)
+    # x ** 1 is x bit for bit, and a process that takes only first
+    # derivatives then never calls np.power (module docstring)
+    mult = ik if order == 1 else ik ** order
     if order % 2 and n % 2 == 0:
         mult[n // 2] = 0.0
     return np.fft.ifft(mult * np.fft.fft(samples))
@@ -148,11 +171,15 @@ def spectral_resample(samples: np.ndarray, factor: int) -> np.ndarray:
 
 
 class Trajectory:
-    """Snapshots of an evolution run.  ``fine_times`` and ``fine_fields``
-    (shape (n_steps+1, N)) hold every time step when the run was recorded
-    and are None otherwise."""
+    """Snapshots of an evolution run.  ``fine_fields`` (shape (n_steps+1, N))
+    holds every time step when the run was recorded and is None otherwise.
+    ``station_jets`` (shape (len(stations), order+1, n_steps+1)) holds psi
+    and its x-derivatives up to the streamed order at each of ``stations``
+    for every time step when the run streamed them, and is None otherwise.
+    ``fine_times`` holds the time of every step when either is set."""
 
-    __slots__ = ("times", "snapshots", "half_length", "kappa", "fine_times", "fine_fields")
+    __slots__ = ("times", "snapshots", "half_length", "kappa", "fine_times", "fine_fields",
+                 "stations", "station_jets")
 
     def __init__(self, times: np.ndarray, snapshots: list[np.ndarray], half_length: float,
                  kappa: float):
@@ -162,6 +189,8 @@ class Trajectory:
         self.kappa = kappa
         self.fine_times: np.ndarray | None = None
         self.fine_fields: np.ndarray | None = None
+        self.stations: tuple[int, ...] = ()
+        self.station_jets: np.ndarray | None = None
 
     def state(self, i: int) -> GridState:
         return GridState(self.snapshots[i], self.half_length, self.kappa)
@@ -177,8 +206,15 @@ def _fft_kernels(n: int):
     return pfu.fft, pfu.ifft, np.array(1.0), np.array(1.0 / n)
 
 
+# rows of the ring that evolve_nls keeps when it streams station jets: each
+# flush computes the jets of up to this many steps with one broadcast vecdot,
+# where one vecdot per step would cost a call per step and station
+_RING_ROWS = 64
+
+
 def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
-               n_snapshots: int = 5, record_fine: bool = False) -> Trajectory:
+               n_snapshots: int = 5, record_fine: bool = False, stations: Sequence[int] = (),
+               station_order: int = 0) -> Trajectory:
     """RK4 time stepping of i psi_t = -psi_xx + 2 kappa |psi|^2 psi.
 
     Spectral x-derivatives.  The step loop allocates nothing: the spectrum,
@@ -191,10 +227,17 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
     the loop calls the FFT gufuncs directly (``_fft_kernels``), passes every
     scalar as a complex 0-d array made once and every output positionally.
     Raises ValueError when either end of ``t_span`` is not finite.  Step s
-    is written straight into row s of ``fine_fields`` (or, when the run is
-    not recorded, over one row in place).  One reduction per step, |psi|^2
-    summed, aborts on norm blowup (step-size instability), NaN or inf.
-    Returns exactly ``n_snapshots`` snapshots, evenly spaced in steps.
+    is written straight into row s of ``fine_fields`` when the run is
+    recorded; otherwise into row s mod ``_RING_ROWS`` of a ring when it
+    streams ``stations``, or over one row in place.  Streaming fills
+    ``station_jets`` with psi and its x-derivatives up to ``station_order``
+    at each station: every ``_RING_ROWS`` steps (and after the last) one
+    broadcast ``np.vecdot`` takes the derivatives of the rows held since the
+    last flush, one ``zdotc`` per row, station and order, so the jets are bit
+    for bit those that ``transfer_matrix`` takes from a recorded run.  One
+    reduction per step, |psi|^2 summed, aborts on norm blowup (step-size
+    instability), NaN or inf.  Returns exactly ``n_snapshots`` snapshots,
+    evenly spaced in steps.
     """
     if steps < 1 or not 1 <= n_snapshots <= steps + 1:
         raise ValueError(f"need steps >= 1 and 1 <= n_snapshots <= steps + 1, "
@@ -202,8 +245,12 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
     t0, t1 = t_span
     if not (math.isfinite(t0) and math.isfinite(t1)):
         raise ValueError(f"t_span must be finite, got t_span=({t0}, {t1})")
-    dt = (t1 - t0) / steps
     n, L, kap = initial.n, initial.half_length, initial.kappa
+    stations = tuple(stations)
+    if not all(0 <= q < n for q in stations) or station_order < 0:
+        raise ValueError(f"need 0 <= station < n and station_order >= 0, got stations={stations}, "
+                         f"n={n}, station_order={station_order}")
+    dt = (t1 - t0) / steps
     # i (ik)^2, the i of i psi_xx folded in, and its double for k2 and k3
     ilap = 1j * (1j * _wavenumbers(n, L)) ** 2
     ilap2 = 2 * ilap
@@ -234,12 +281,25 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
         multiply(nonlin, u, nonlin)
         subtract(out, nonlin, out)
 
-    # step s goes to rows[s % nrows]: its own row when recorded, else the
-    # one row, updated in place
-    nrows = steps + 1 if record_fine else 1
+    # step s goes to rows[s % nrows]: its own row when recorded, a ring row
+    # when streamed, else the one row, updated in place
+    nrows = steps + 1 if record_fine else _RING_ROWS if stations else 1
     rows = np.empty((nrows, n), dtype=complex)
     psi = rows[0]
     psi[:] = initial.samples
+    if stations:
+        filters = _station_filters(n, L, stations, station_order)[:, :, None, :]
+        jets = np.empty((len(stations), station_order + 1, steps + 1), dtype=complex)
+        cols = list(stations)
+
+        def flush(last):
+            """The station jets of steps first..last, whose rows the ring holds."""
+            first = last - last % _RING_ROWS
+            held = rows[first % nrows:last % nrows + 1]
+            jets[:, 0, first:last + 1] = held[:, cols].T
+            jets[:, 1:, first:last + 1] = np.vecdot(filters, held)
+
+    flush_at = min(_RING_ROWS - 1, steps) if stations else -1
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
     times, snaps = [], []
     if 0 in snap_at:
@@ -267,13 +327,19 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
         psi = add(psi, k1, rows[s % nrows])
         if not vdot(psi, psi).real <= lim2:
             raise FloatingPointError(f"norm blowup at step {s}: reduce the time step")
+        if s == flush_at:
+            flush(s)
+            flush_at = min(s + _RING_ROWS, steps)
         if s in snap_at:
             times.append(t0 + s * dt)
             snaps.append(psi.copy())
     traj = Trajectory(np.array(times), snaps, L, kap)
-    if record_fine:
+    if record_fine or stations:
         traj.fine_times = t0 + dt * np.arange(steps + 1)
+    if record_fine:
         traj.fine_fields = rows
+    if stations:
+        traj.stations, traj.station_jets = stations, jets
     return traj
 
 
@@ -302,23 +368,30 @@ def _x_derivatives(psi: np.ndarray, half_length: float, order: int) -> list[np.n
     return [psi] + [spectral_derivative(psi, half_length, k) for k in range(1, order + 1)]
 
 
-def _station_derivatives(fields: np.ndarray, half_length: float, station: int,
-                         order: int) -> list[np.ndarray]:
-    """psi and its x-derivatives up to ``order`` at grid index ``station``, for
-    every row of ``fields``.  Spectral differentiation is circulant, so row
-    ``station`` of the k-th derivative matrix is the derivative of a unit
-    impulse at index 0, read at (station - j) mod n.  Each row is one dot
-    product (``np.vecdot``, which conjugates its first argument), not a
-    matrix-vector ``@``: see the module docstring."""
-    n = fields.shape[1]
+def _station_filters(n: int, half_length: float, stations: Sequence[int],
+                     order: int) -> np.ndarray:
+    """Row ``station`` of the k-th spectral derivative matrix on n points,
+    conjugated for ``np.vecdot``, for each station and k = 1..order: shape
+    (len(stations), order, n).  Spectral differentiation is circulant, so
+    that row is the derivative f of a unit impulse at index 0, read at
+    (station - j) mod n: f reversed and rolled by station + 1, which copies
+    and takes no integer remainder (module docstring)."""
     impulse = np.zeros(n, dtype=complex)
     impulse[0] = 1.0
-    back = (station - np.arange(n)) % n
-    out = [fields[:, station]]
-    for k in range(1, order + 1):
-        filt = spectral_derivative(impulse, half_length, k)
-        out.append(np.vecdot(np.conj(filt[back]), fields))
+    out = np.empty((len(stations), order, n), dtype=complex)
+    for k in range(order):
+        reversed_filt = np.conj(spectral_derivative(impulse, half_length, k + 1))[::-1]
+        for i, station in enumerate(stations):
+            out[i, k] = np.roll(reversed_filt, station + 1)
     return out
+
+
+def _station_derivatives(fields: np.ndarray, station: int, filters: np.ndarray) -> list[np.ndarray]:
+    """psi and its x-derivatives at grid index ``station`` for every row of
+    ``fields``, given that station's ``_station_filters``.  Each row is one
+    dot product (``np.vecdot``, which conjugates its first argument), not a
+    matrix-vector ``@``: see the module docstring."""
+    return [fields[:, station]] + [np.vecdot(f, fields) for f in filters]
 
 
 def _jet_values(derivs: Sequence[np.ndarray], jets: Sequence[JetVar]) -> dict[JetVar, np.ndarray]:
@@ -404,9 +477,10 @@ def _matmul2(a: Sequence[np.ndarray], b: Sequence[np.ndarray]) -> tuple[np.ndarr
     return (a0 * b0 + a1 * b2, a0 * b1 + a1 * b3, a2 * b0 + a3 * b2, a2 * b1 + a3 * b3)
 
 
-# steps per block of _step_propagators: a block's lambda-sums, RK4 stages and
-# their temporaries (about 0.5 MB at 1024 steps) stay in a core's L2 cache;
-# 1024 was faster than 512 and 2048 (module docstring)
+# steps per block of a transfer: a block's samples, entry values, lambda-sums,
+# RK4 stages and their temporaries (about 0.5 MB at 1024 steps) stay in a
+# core's L2 cache; 1024 was faster than 512 and 2048 (module docstring).  A
+# power of two, so that the blocks are aligned with the product tree's levels
 _BLOCK_STEPS = 1024
 
 
@@ -415,61 +489,79 @@ def _step_propagators(entry_arrays: Mapping[int, tuple[np.ndarray | None, ...]],
     """The RK4 step maps T -> P_j T of T' = A(s; lam) T for every step j, as
     four entry arrays of length n_steps.
 
-    A = sum_p lam^p E_p is sampled at half-steps: 2*n_steps points on a
-    periodic line (the last step ends on the first point) or 2*n_steps+1
-    points.  P_j is the RK4 stage formula applied to T = I.  The steps are
-    taken ``_BLOCK_STEPS`` at a time: A, its samples at the start, middle and
-    end of each step and the stages are made over one block's 2b+1 points
-    only, and the block's P is written into its slice of the full-length
-    arrays, so the temporaries fit in cache.  Each element sees the same
-    operations in the same order as on full-length arrays, so P does not
-    depend on the block size."""
+    A = sum_p lam^p E_p is given at half-steps, 2*n_steps+1 points: the
+    start, middle and end of each step are strided views of its lambda-sum,
+    not fancy-indexed copies.  P_j is the RK4 stage formula applied to
+    T = I."""
     # zero entries are left out of the lambda-sum: x + 0 is x, and 1.0 * x
     # is x, so the lambda^0 term is used as it is
-    terms = [[(None if p == 0 else lam**p, arrs[i]) for p, arrs in entry_arrays.items()
-              if arrs[i] is not None] for i in range(4)]
-
-    def lam_sum(entry_terms, seg):
-        parts = [a[seg] if c is None else c * a[seg] for c, a in entry_terms]
-        return sum(parts[1:], parts[0])
-
-    npts = len(terms[0][0][1])
-    n_steps = npts // 2
-    P = [np.empty(n_steps, dtype=complex) for _ in range(4)]
-    for lo in range(0, n_steps, _BLOCK_STEPS):
-        hi = min(lo + _BLOCK_STEPS, n_steps)
-        if 2 * hi < npts:
-            A = [lam_sum(t, slice(2 * lo, 2 * hi + 1)) for t in terms]
-        else:       # the periodic line's last step ends on the first point
-            A = [np.concatenate((lam_sum(t, slice(2 * lo, None)), lam_sum(t, slice(0, 1))))
-                 for t in terms]
-        # strided views, not copies
-        A0, A1, A2 = [a[0:-1:2] for a in A], [a[1::2] for a in A], [a[2::2] for a in A]
-        k2 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, A0))]
-        k3 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, k2))]
-        k4 = [a + h * m for a, m in zip(A2, _matmul2(A2, k3))]
-        for out, a0, b, c, d in zip(P, A0, k2, k3, k4):
-            np.multiply(h / 6.0, a0 + 2 * b + 2 * c + d, out=out[lo:hi])
+    terms = [[a if p == 0 else lam**p * a for p, arrs in entry_arrays.items()
+              if (a := arrs[i]) is not None] for i in range(4)]
+    A = [sum(t[1:], t[0]) for t in terms]
+    A0, A1, A2 = [a[0:-1:2] for a in A], [a[1::2] for a in A], [a[2::2] for a in A]
+    k2 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, A0))]
+    k3 = [a + (0.5 * h) * m for a, m in zip(A1, _matmul2(A1, k2))]
+    k4 = [a + h * m for a, m in zip(A2, _matmul2(A2, k3))]
+    P = [(h / 6.0) * (a0 + 2 * b + 2 * c + d) for a0, b, c, d in zip(A0, k2, k3, k4)]
     P[0] += 1.0
     P[3] += 1.0
     return P
 
 
+def _pair_level(P: Sequence[np.ndarray]) -> tuple[np.ndarray, ...]:
+    """One level of the pairwise product tree of matrices given as four entry
+    arrays, along their last axis: P[2k+1] P[2k] for each pair, in one
+    batched product, with an odd last factor folded into the last pair."""
+    n = P[0].shape[-1]
+    m = n - n % 2
+    pairs = _matmul2([x[..., 1:m:2] for x in P], [x[..., 0:m:2] for x in P])
+    if n % 2:
+        last = _matmul2([x[..., -1:] for x in P], [x[..., -1:] for x in pairs])
+        for x, y in zip(pairs, last):
+            x[..., -1:] = y
+    return pairs
+
+
 def _ordered_product(P: Sequence[np.ndarray]) -> np.ndarray:
     """P[n-1] ... P[1] P[0] of matrices given as four entry arrays, by
-    pairwise tree reduction: each level multiplies neighbours in one batched
-    product, and an odd last factor is folded into the last pair.  Returns
-    the 2x2 product."""
-    while len(P[0]) > 1:
-        n = len(P[0])
-        m = n - n % 2
-        pairs = _matmul2([x[1:m:2] for x in P], [x[0:m:2] for x in P])
-        if n % 2:
-            last = _matmul2([x[-1:] for x in P], [x[-1:] for x in pairs])
-            for x, y in zip(pairs, last):
-                x[-1:] = y
-        P = pairs
-    return np.array(P).reshape(2, 2)
+    pairwise tree reduction along their last axis (``_pair_level`` until one
+    factor is left).  Returns the 2x2 product, or one for each index of the
+    leading axes."""
+    while P[0].shape[-1] > 1:
+        P = _pair_level(P)
+    return np.stack([x[..., 0] for x in P], axis=-1).reshape(P[0].shape[:-1] + (2, 2))
+
+
+def _block_products(entries, n_steps: int, lam_values: Sequence[complex],
+                    h: float) -> list[np.ndarray]:
+    """The ordered product of the RK4 step propagators of every lambda, with
+    the steps taken ``_BLOCK_STEPS`` at a time.
+
+    ``entries(lo, hi)`` returns M's entry arrays (``_entry_arrays``) at the
+    2(hi - lo) + 1 half-step points of steps lo..hi-1.  Each block is asked
+    for them once, builds every lambda's propagators from them and reduces
+    them by the first ``levels`` levels of the product tree,
+    levels = min(v2(n_steps), log2 _BLOCK_STEPS).  Up to that level no level
+    has an odd length, and the blocks start at multiples of 2^levels, so a
+    block reduces to exactly its slice of the whole tree's level-``levels``
+    array; only those partial products outlive the block, and
+    ``_ordered_product`` finishes the tree from them, every lambda's in one
+    batched product per level.  Every element thus sees the operations of
+    the whole-array tree in the same order, and the products do not depend
+    on the block size."""
+    levels = min((n_steps & -n_steps).bit_length(), _BLOCK_STEPS.bit_length()) - 1
+    partial: list[list[tuple[np.ndarray, ...]]] = [[] for _ in lam_values]
+    for lo in range(0, n_steps, _BLOCK_STEPS):
+        arrays = entries(lo, min(lo + _BLOCK_STEPS, n_steps))
+        for lam, parts in zip(lam_values, partial):
+            P = _step_propagators(arrays, lam, h)
+            for _ in range(levels):
+                P = _pair_level(P)
+            parts.append(P)
+    # entry i of every lambda's partial products: one (lambdas, n_steps / 2^levels) array
+    rest = [np.array([np.concatenate([block[i] for block in parts]) for parts in partial])
+            for i in range(4)]
+    return list(_ordered_product(rest))
 
 
 def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction: str,
@@ -481,9 +573,19 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     of M are sampled on a spatial grid supersampled by ``2 * substeps``, and
     the integration step is ``step / substeps``.
     direction 'along_t': ``data`` is a Trajectory recorded with
-    ``record_fine=True``; the entries are evaluated at the x-index
-    ``station`` for every recorded step, and the integration step is two
-    recording steps so midpoints are available.
+    ``record_fine=True``, or one that streamed ``station`` to at least M's
+    x-derivative order; the entries are evaluated at the x-index ``station``
+    for every step, and the integration step is two steps so midpoints are
+    available.
+
+    The samples are consumed ``_BLOCK_STEPS`` steps at a time
+    (``_block_products``): a block takes its jets (along t from a record,
+    one ``np.vecdot`` per row of the block, or a slice of the streamed
+    jets), evaluates M's entries on them once, and keeps only each lambda's
+    partial tree products, so nothing of full length is built beyond the
+    jets along x.  Raises ValueError naming the direction, the station
+    (along t), the lambda and its determinant error when a matrix is not
+    finite or its determinant is more than ``det_tol`` from 1.
 
     M must hold x-jets only: substitute the evolution rules for its t-jets
     first (``LaxMatrix.substitute``).
@@ -499,31 +601,62 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
         state: GridState = data
         psi_fine = spectral_resample(state.samples, 2 * substeps)
         derivs = _x_derivatives(psi_fine, state.half_length, order)
+
+        def samples(a, b):
+            return [d[a:b] for d in derivs]
+        npts = psi_fine.size            # a periodic line: the last step ends on point 0
         h = state.step / substeps
+        where = "along_x"
     elif direction == "along_t":
         traj: Trajectory = data
-        if traj.fine_fields is None:
-            raise ValueError("time-direction transfer needs a trajectory recorded with record_fine=True")
-        if traj.fine_fields.shape[0] % 2 == 0:
+        if traj.fine_fields is not None:
+            fields = traj.fine_fields
+            n = fields.shape[1]
+            if not 0 <= station < n:
+                raise ValueError(f"station must satisfy 0 <= station < n, got station={station}, n={n}")
+            filters = _station_filters(n, traj.half_length, [station], order)[0]
+
+            def samples(a, b):
+                return _station_derivatives(fields[a:b], station, filters)
+        elif station in traj.stations and order < traj.station_jets.shape[1]:
+            streamed = traj.station_jets[traj.stations.index(station)]
+
+            def samples(a, b):
+                return list(streamed[:order + 1, a:b])
+        else:
+            raise ValueError(f"time-direction transfer at station {station} to x-order {order} "
+                             "needs a trajectory recorded with record_fine=True or streamed "
+                             "at that station to that order")
+        npts = traj.fine_times.size
+        if npts % 2 == 0:
             raise ValueError("need an even number of steps (odd number of records)")
-        n = traj.fine_fields.shape[1]
-        if not 0 <= station < n:
-            raise ValueError(f"station must satisfy 0 <= station < n, got station={station}, n={n}")
-        derivs = _station_derivatives(traj.fine_fields, traj.half_length, station, order)
         h = 2 * (traj.fine_times[1] - traj.fine_times[0])
+        where = f"along_t at station {station}"
     else:
         raise ValueError("direction must be 'along_x' or 'along_t'")
 
-    arrays = _entry_arrays(M, _jet_values(derivs, jets), data.kappa, derivs[0].size)
-    # one lambda at a time: stacking them is no faster and multiplies the
-    # transient per-step entry arrays by the number of lambdas
-    mats = [_ordered_product(_step_propagators(arrays, lam, h)) for lam in lam_values]
+    def entries(lo, hi):
+        if 2 * hi < npts:
+            derivs = samples(2 * lo, 2 * hi + 1)
+        else:       # the periodic line's last step ends on the first point
+            derivs = [np.concatenate(p) for p in zip(samples(2 * lo, npts), samples(0, 1))]
+        return _entry_arrays(M, _jet_values(derivs, jets), data.kappa, derivs[0].size)
+
+    # one lambda at a time within a block: stacking them is no faster and
+    # multiplies the block's transient arrays by the number of lambdas
+    mats = _block_products(entries, npts // 2, lam_values, h)
     sample = MonodromySample(list(lam_values), mats, direction)
-    bad = sample.det_errors().max()
-    if not np.isfinite(bad):            # a NaN would pass `bad > det_tol`
-        raise ValueError(f"transfer matrix is not finite (determinant error {bad})")
-    if bad > det_tol:
-        raise ValueError(f"transfer matrix determinant deviates from 1 by {bad:.2e}")
+    # the passing path takes only the max, no argmax (module docstring)
+    errors = sample.det_errors()
+    worst = errors.max()
+    if not np.isfinite(worst):          # a NaN would pass `worst > det_tol`
+        j = next(i for i, e in enumerate(errors) if not math.isfinite(e))
+        raise ValueError(f"{where}: transfer matrix is not finite at lam={lam_values[j]} "
+                         f"(determinant error {errors[j]})")
+    if worst > det_tol:
+        j = list(errors).index(worst)
+        raise ValueError(f"{where}: transfer matrix determinant deviates from 1 by {worst:.2e} "
+                         f"at lam={lam_values[j]} (tolerance {det_tol:.0e})")
     return sample
 
 

@@ -356,6 +356,52 @@ def test_brackets_and_numlab_do_not_load_dataclasses():
     assert proc.stdout.splitlines() == ["[]", "False"]
 
 
+_BLAS_DEFAULT = """
+import contextlib, io, json, os, sys
+from nlsdual.cli import main
+if sys.argv[1] == "numpy-first":
+    import numpy
+for argv in json.loads(sys.argv[2]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        code = main(argv)
+    print(json.dumps([argv[0], code, os.environ.get("OPENBLAS_NUM_THREADS"),
+                      "numpy" in sys.modules]))
+"""
+
+_SIM_SMALL = ["sim", "--case", "planewave", "--grid", "32", "--steps", "20", "--t-end", "0.001"]
+
+
+@pytest.mark.parametrize("preset, first, want", [
+    ({}, "cli", "1"),
+    ({"OPENBLAS_NUM_THREADS": "2"}, "cli", "2"),
+    ({"OMP_NUM_THREADS": "2"}, "cli", None),
+    ({}, "numpy-first", None),
+], ids=["default", "openblas-set", "omp-set", "numpy-loaded"])
+def test_only_sim_defaults_openblas_to_one_thread(preset, first, want):
+    # in a fresh process: the exact commands set nothing and load no numpy;
+    # sim sets one thread unless the user chose a count or numpy is loaded
+    env = {k: v for k, v in os.environ.items()
+           if k not in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS")}
+    env.update(preset, PYTHONPATH=str(SRC))
+    proc = subprocess.run([sys.executable, "-c", _BLAS_DEFAULT, first,
+                           json.dumps(_EXACT_RUNS + [_SIM_SMALL])],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    results = [json.loads(line) for line in proc.stdout.splitlines()]
+    preset_value = preset.get("OPENBLAS_NUM_THREADS")
+    numpy_first = first == "numpy-first"
+    assert results == ([[argv[0], 0, preset_value, numpy_first] for argv in _EXACT_RUNS]
+                       + [["sim", 0, want, True]])
+
+
+def test_sim_transfer_error_names_where_it_failed(capsys):
+    # 40 steps over the period are too coarse for the t-transfer at lam = 2.7
+    code, rep = run(capsys, "sim", "--grid", "17", "--steps", "40", "--check", "monodromy")
+    assert code == 2
+    assert rep["error"] == ("along_t at station 0: transfer matrix determinant deviates from 1 "
+                            "by 1.09e-04 at lam=2.7 (tolerance 1e-08)")
+
+
 def test_sim_planewave_does_not_load_numpy_random():
     # only --case custom draws a random number
     proc = _python("-c", "import contextlib, io, sys\n"

@@ -3,6 +3,7 @@
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -314,7 +315,7 @@ def test_station_derivatives_match_the_matrix_vector_product(order):
     scale = [np.max(np.abs(fields)) * np.sum(np.abs(N.spectral_derivative(impulse, L, k)))
              for k in range(order + 1)]
     for station in (0, 5, n - 1):
-        got = N._station_derivatives(fields, L, station, order)
+        got = N._station_derivatives(fields, station, N._station_filters(n, L, [station], order)[0])
         want = station_derivatives_matmul(fields, L, station, order)
         assert len(got) == len(want) == order + 1
         for g, w, sc in zip(got, want, scale):
@@ -329,6 +330,12 @@ def test_transfer_along_t_rejects_a_station_off_the_grid(station):
         N.transfer_matrix(V2, traj, [0.5], "along_t", station=station)
 
 
+def _with_wrap(arr: np.ndarray, periodic: bool) -> np.ndarray:
+    """The 2n+1 half-step samples that _step_propagators takes: on a periodic
+    line the last step ends on the first point, which is appended."""
+    return np.concatenate((arr, arr[:1])) if periodic else arr
+
+
 @pytest.mark.parametrize("periodic", [True, False])
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 7, 64, 513])
 def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
@@ -340,7 +347,7 @@ def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
               for p in range(3)}
     lams = [0.3, -1.1 + 0.2j, 1.7]
     h = 1.0 / n_steps
-    columns = {p: entry_columns(arr) for p, arr in arrays.items()}
+    columns = {p: entry_columns(_with_wrap(arr, periodic)) for p, arr in arrays.items()}
     for lam in lams:
         got = N._ordered_product(N._step_propagators(columns, lam, h))
         want = rk4_transfer_sequential(arrays, lam, h, n_steps)
@@ -351,20 +358,146 @@ def test_step_propagator_product_matches_sequential_rk4(n_steps, periodic):
 @pytest.mark.parametrize("n_steps", [1, 2, 3, 5, 7, 64, 513, 1001, 1023, 1024, 1025, 2049, 4000])
 def test_entry_array_kernels_match_the_stacked_ones_bitwise(n_steps, periodic):
     # the same operations in the same order on one array per entry, so every
-    # propagator and every product is bit for bit that of (n, 2, 2) arrays;
-    # the steps around and beyond one block (_BLOCK_STEPS, 1024) put the
-    # periodic wrap in a full, a short and a one-step last block
+    # propagator and every product is bit for bit that of (n, 2, 2) arrays,
+    # on whole arrays as on the blocks of transfer_matrix
     rng = np.random.default_rng(1000 + n_steps)
     npts = 2 * n_steps + (0 if periodic else 1)
     arrays = {p: rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
               for p in range(3)}
-    columns = {p: entry_columns(arr) for p, arr in arrays.items()}
+    columns = {p: entry_columns(_with_wrap(arr, periodic)) for p, arr in arrays.items()}
     h = 1.0 / n_steps
     for lam in [0.3, -1.1 + 0.2j, 1.7]:
         P = N._step_propagators(columns, lam, h)
         want_P = step_propagators_stacked(arrays, lam, h)
         assert all(np.array_equal(P[i], want_P[:, i // 2, i % 2]) for i in range(4))
         assert np.array_equal(N._ordered_product(P), ordered_product_stacked(want_P))
+
+
+@pytest.mark.parametrize("periodic", [True, False])
+@pytest.mark.parametrize("n_steps", [1, 3, 1023, 1024, 1025, 2049, 3000, 4000, 4096])
+def test_block_products_are_bitwise_the_stacked_reference(n_steps, periodic):
+    # blocks of _BLOCK_STEPS (1024) steps, each reduced by min(v2(n_steps), 10)
+    # tree levels before the whole tree is finished: no level at odd n_steps,
+    # 3 at 3000, 5 at 4000 and 10 at 1024 and 4096, in one, two or four
+    # blocks, the last one full, short or of one step
+    rng = np.random.default_rng(2000 + n_steps)
+    npts = 2 * n_steps + (0 if periodic else 1)
+    arrays = {p: rng.standard_normal((npts, 2, 2)) + 1j * rng.standard_normal((npts, 2, 2))
+              for p in range(3)}
+    columns = {p: entry_columns(_with_wrap(arr, periodic)) for p, arr in arrays.items()}
+    asked = []
+
+    def entries(lo, hi):
+        asked.append((lo, hi))
+        return {p: tuple(c[2 * lo:2 * hi + 1] for c in cols) for p, cols in columns.items()}
+
+    lams = [0.3, -1.1 + 0.2j, 1.7]
+    h = 1.0 / n_steps
+    got = N._block_products(entries, n_steps, lams, h)
+    # each block's entries are asked for once, not once per lambda
+    assert asked == [(lo, min(lo + N._BLOCK_STEPS, n_steps))
+                     for lo in range(0, n_steps, N._BLOCK_STEPS)]
+    for lam, g in zip(lams, got):
+        assert np.array_equal(g, ordered_product_stacked(step_propagators_stacked(arrays, lam, h)))
+
+
+def _streamed_and_recorded(state, t_end, steps, stations, order):
+    """The same run twice: streaming the jets of ``stations`` to ``order``
+    from a ring of rows, and recording every step."""
+    streamed = N.evolve_nls(state, (0.0, t_end), steps, n_snapshots=2, stations=stations,
+                            station_order=order)
+    recorded = N.evolve_nls(state, (0.0, t_end), steps, n_snapshots=2, record_fine=True)
+    return streamed, recorded
+
+
+def _assert_streams_the_record(streamed, recorded, order):
+    """Streamed jets, times and snapshots bit for bit those of the record."""
+    fields = recorded.fine_fields
+    filters = N._station_filters(fields.shape[1], recorded.half_length, streamed.stations, order)
+    assert streamed.fine_fields is None
+    assert streamed.station_jets.shape == (len(streamed.stations), order + 1, fields.shape[0])
+    assert np.array_equal(streamed.fine_times, recorded.fine_times)
+    assert all(np.array_equal(a, b) for a, b in zip(streamed.snapshots, recorded.snapshots))
+    for jets, station, filt in zip(streamed.station_jets, streamed.stations, filters):
+        want = N._station_derivatives(fields, station, filt)
+        assert all(np.array_equal(j, w) for j, w in zip(jets, want))
+
+
+# steps + 1 rows through a ring of _RING_ROWS (64): one row, a last flush one
+# row short of the ring, exactly the ring, one row past it, and so on
+@pytest.mark.parametrize("steps", [1, 62, 63, 64, 65, 127, 128, 129, 200])
+def test_streamed_station_jets_are_bitwise_the_recorded_ones(steps):
+    streamed, recorded = _streamed_and_recorded(_generic_field(64), 0.01, steps, (0, 5, 33, 63), 3)
+    _assert_streams_the_record(streamed, recorded, 3)
+
+
+@pytest.mark.parametrize("steps", [2, 62, 64, 66, 128, 130])
+def test_streamed_transfers_are_bitwise_the_recorded_ones(steps):
+    V2 = generate_partner(U, 1, 2)
+    streamed, recorded = _streamed_and_recorded(_generic_field(64), 0.05, steps, (0, 17, 40), 1)
+    lams = [0.5, -1.3, 2.2]
+    for station in streamed.stations:
+        a, b = (N.transfer_matrix(V2, traj, lams, "along_t", station=station, det_tol=np.inf)
+                for traj in (streamed, recorded))
+        assert np.array_equal(np.array(a.matrices), np.array(b.matrices))
+
+
+def _custom_profile(kappa: float) -> N.GridState:
+    """``nlsdual sim --case custom`` at its default grid and seed."""
+    n, L = 256, np.pi
+    x = -L + (2 * L / n) * np.arange(n)
+    prof = 0.7 + 0.2 * np.cos(x) + 0.1 * np.random.default_rng(0).standard_normal()
+    return N.GridState(prof * np.exp(1j * x), L, kappa)
+
+
+@pytest.mark.parametrize("case", ["workload", "custom"])
+def test_streamed_path_is_bitwise_the_record_path_at_full_size(case):
+    # 256 points and 8000 steps, V2 at the workload's four stations: the plane
+    # wave of the monodromy workload, and sim's custom case at kappa = 0.37
+    state = _workload_plane_wave() if case == "workload" else _custom_profile(0.37)
+    V2 = generate_partner(U, 1, 2)
+    streamed, recorded = _streamed_and_recorded(state, 1.0, 8000, (0, 64, 128, 192), 1)
+    _assert_streams_the_record(streamed, recorded, 1)
+    lams = [-2.1, 0.4, 1.3, 2.9]
+    for station in streamed.stations:
+        a, b = (N.transfer_matrix(V2, traj, lams, "along_t", station=station, det_tol=np.inf)
+                for traj in (streamed, recorded))
+        assert np.array_equal(np.array(a.matrices), np.array(b.matrices))
+
+
+def test_along_t_transfer_memory_at_the_workload_size():
+    # the samples are consumed a block at a time, so beyond the record the
+    # transfer holds one block's jets, entries and stages and the partial
+    # products: 0.86 MB traced; built at full length it took 1.96 MB
+    traj = N.evolve_nls(_workload_plane_wave(), (0.0, 1.0), 8000, n_snapshots=2, record_fine=True)
+    V2 = generate_partner(U, 1, 2)
+    lams = [-2.1, 0.4, 1.3, 2.9]
+    N.transfer_matrix(V2, traj, lams, "along_t", station=64)
+    tracemalloc.start()
+    try:
+        N.transfer_matrix(V2, traj, lams, "along_t", station=64)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.0e6
+
+
+def test_streamed_transfer_needs_the_station_and_order():
+    # streamed to x-order 0 at stations 3 and 7: a matrix without jets (U's
+    # diagonal) transfers at either, V2 (x-order 1) at neither
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.01), 10, n_snapshots=2, stations=(3, 7))
+    D = LaxMatrix({1: U.coeffs[1]}, xi="t")
+    N.transfer_matrix(D, traj, [0.5], "along_t", station=7)
+    with pytest.raises(ValueError, match="station 5 to x-order 0"):
+        N.transfer_matrix(D, traj, [0.5], "along_t", station=5)
+    with pytest.raises(ValueError, match="station 3 to x-order 1"):
+        N.transfer_matrix(generate_partner(U, 1, 2), traj, [0.5], "along_t", station=3)
+
+
+@pytest.mark.parametrize("stations, order", [((-1,), 1), ((128,), 1), ((0,), -1)])
+def test_evolution_rejects_stations_off_the_grid_and_a_negative_order(stations, order):
+    with pytest.raises(ValueError, match="0 <= station < n"):
+        N.evolve_nls(_generic_field(), (0.0, 0.01), 10, stations=stations, station_order=order)
 
 
 @pytest.mark.parametrize("direction", ["along_x", "along_t"])
@@ -379,7 +512,9 @@ def test_transfer_on_lax_data_is_bitwise_the_stacked_reference(direction):
         h = data.step / 2
     else:
         M, data = generate_partner(U, 1, 2), traj
-        derivs = N._station_derivatives(traj.fine_fields, traj.half_length, 5, 1)
+        fields = traj.fine_fields
+        derivs = N._station_derivatives(
+            fields, 5, N._station_filters(fields.shape[1], traj.half_length, [5], 1)[0])
         h = 2 * (traj.fine_times[1] - traj.fine_times[0])
     assert any(x.is_zero() for e in M.coeffs.values() for x in e)
     got = N.transfer_matrix(M, data, lams, direction, station=5).matrices
@@ -412,6 +547,36 @@ def test_transfer_along_t_rejects_a_non_finite_trajectory():
     V2 = generate_partner(U, +1, 2)
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="not finite"):
         N.transfer_matrix(V2, traj, [0.5], "along_t", station=5)
+
+
+@pytest.mark.parametrize("streamed", [False, True])
+def test_transfer_errors_name_the_direction_station_and_lambda(streamed):
+    st = N.plane_wave(32, np.pi, 1.0, 0.5, 1)
+    kw = {"stations": (5,), "station_order": 1} if streamed else {"record_fine": True}
+    traj = N.evolve_nls(st, (0.0, 0.01), 10, n_snapshots=2, **kw)
+    V2 = generate_partner(U, +1, 2)
+    # a NaN in the trajectory makes every matrix NaN: the first lambda is named
+    if streamed:
+        traj.station_jets[0, 0, 3] = np.nan
+    else:
+        traj.fine_fields[3, 5] = np.nan
+    with np.errstate(all="ignore"), pytest.raises(
+            ValueError, match=r"^along_t at station 5: transfer matrix is not finite at "
+                              r"lam=0\.5 \(determinant error nan\)$"):
+        N.transfer_matrix(V2, traj, [0.5, 1.5], "along_t", station=5)
+    # 40 steps over a period are too coarse for lam = 2.7: the worst of the
+    # lambdas and its error are named
+    st = N.plane_wave(16, np.pi, 1.0, 0.5, 1)
+    traj = N.evolve_nls(st, (0.0, 1.0), 40, n_snapshots=2, **kw)
+    errors = N.transfer_matrix(V2, traj, [0.5, 2.7, 1.5], "along_t", station=5,
+                               det_tol=np.inf).det_errors()
+    assert np.argmax(errors) == 1 and errors[1] > 1e-8
+    with pytest.raises(ValueError, match=rf"^along_t at station 5: transfer matrix determinant "
+                                         rf"deviates from 1 by {errors[1]:.2e} at lam=2\.7 "
+                                         rf"\(tolerance 1e-08\)$"):
+        N.transfer_matrix(V2, traj, [0.5, 2.7, 1.5], "along_t", station=5, det_tol=1e-8)
+    with pytest.raises(ValueError, match=r"^along_x: transfer matrix determinant deviates"):
+        N.transfer_matrix(U, traj.state(0), [0.5, 40.0], "along_x", det_tol=0.0)
 
 
 def test_transfer_rejects_surviving_t_jets():
@@ -461,6 +626,19 @@ def test_spectral_derivative_at_the_nyquist_mode():
     for order in (1, 3):
         assert np.max(np.abs(N.spectral_derivative(f, np.pi, order))) < 1e-12
     assert np.max(np.abs(N.spectral_derivative(f, np.pi, 2) + 64 * f)) < 1e-12
+
+
+@pytest.mark.parametrize("n", [16, 17, 256])
+def test_first_spectral_derivative_is_bitwise_the_power_form(n):
+    # the first derivative takes (ik)^1 as ik, without np.power: the same bits,
+    # signed zeros included
+    L = 1.7
+    samples = _generic_field(n).samples
+    mult = (1j * (np.fft.fftfreq(n, d=2.0 * L / n) * 2.0 * np.pi)) ** 1
+    if n % 2 == 0:
+        mult[n // 2] = 0.0
+    want = np.fft.ifft(mult * np.fft.fft(samples))
+    assert N.spectral_derivative(samples, L, 1).tobytes() == want.tobytes()
 
 
 def test_spectral_derivative_rejects_a_negative_order():
