@@ -114,13 +114,13 @@ def _covector(grad: Mapping[JetVar, DiffPoly], table: BracketTable, only=None) -
     for b, g in grad.items():
         for c, t in table.rows.get(b, {}).items():
             if only is None or c in only:
-                parts.setdefault(c, []).append(g * t)
-    return {c: s for c, terms in parts.items() if (s := DiffPoly.sum(terms))}
+                parts.setdefault(c, []).append((g, t))
+    return {c: s for c, pairs in parts.items() if (s := DiffPoly.dot(pairs))}
 
 
 def _contract(cov: Mapping[JetVar, DiffPoly], grad: Mapping[JetVar, DiffPoly]) -> DiffPoly:
     """sum_c cov[c] G_c: the bracket of the covector's function with the gradient's."""
-    return DiffPoly.sum(cov[c] * g for c, g in grad.items() if c in cov)
+    return DiffPoly.dot((cov[c], g) for c, g in grad.items() if c in cov)
 
 
 def leibniz_bracket(f: DiffPoly, g: DiffPoly, table: BracketTable) -> DiffPoly:
@@ -170,7 +170,7 @@ def _bracket_by_flows(flows: Mapping[JetVar, DiffPoly], g: DiffPoly, coords, w) 
     for _, c, k in parts:
         while len(lifted[c]) <= k:
             lifted[c].append(lifted[c][-1].d_along(w))
-    return DiffPoly.sum(g.diff(v) * lifted[c][k] for v, c, k in parts)
+    return DiffPoly.dot((g.diff(v), lifted[c][k]) for v, c, k in parts)
 
 
 # ---------------------------------------------------------------------------
@@ -183,30 +183,69 @@ def matrix_bracket(A: LaxMatrix, B: LaxMatrix, table: BracketTable) -> TensorMat
 
     Block (pa, pb) holds {A[pa][ij], B[pb][kl]} at row 2i+k, column 2j+l.
     Each entry of A is contracted with the table once and each entry of B
-    differentiated once; for B is A one gradient per entry serves both.
-    For B is A the bracket is also antisymmetric, so each unordered pair of
-    entries is bracketed once and block (pb, pa) at (kl, ij) gets the
-    negative of block (pa, pb) at (ij, kl).
+    differentiated once.  For B is A the bracket is antisymmetric, so each
+    unordered pair of entries is bracketed once and block (pb, pa) at
+    (kl, ij) gets the negative of block (pa, pb) at (ij, kl).  It is also
+    bilinear, so an entry equal to an earlier one or to its negative reuses
+    that entry's gradient, covector and brackets, and {x, +-x} = 0 is not
+    computed at all.  That is exact for any A; a traceless one, such as
+    every V_n, has at each lambda-power an entry that is minus another.
     """
     xs = [(pa, ij, x) for pa, ea in A.coeffs.items() for ij, x in enumerate(ea) if x]
-    ys = xs if B is A else [(pb, kl, y) for pb, eb in B.coeffs.items() for kl, y in enumerate(eb) if y]
-    grads = [_gradient(y, table) for _, _, y in ys]
-    covs = [_covector(g, table)
-            for g in (grads if B is A else (_gradient(x, table) for _, _, x in xs))]
     acc = {(pa, pb): [_Z] * 16 for pa in A.coeffs for pb in B.coeffs}
 
     def put(pa, ij, pb, kl, v):
         acc[(pa, pb)][4 * (2 * (ij // 2) + kl // 2) + 2 * (ij % 2) + kl % 2] = v
 
-    for n, (pa, ij, _) in enumerate(xs):
-        for m in range(n + 1 if B is A else 0, len(ys)):
-            pb, kl, _ = ys[m]
-            v = _contract(covs[n], grads[m])
-            if v:
-                put(pa, ij, pb, kl, v)
-                if B is A:
-                    put(pb, kl, pa, ij, -v)
+    if B is A:
+        _antisymmetric_brackets(xs, table, put)
+    else:
+        ys = [(pb, kl, y) for pb, eb in B.coeffs.items() for kl, y in enumerate(eb) if y]
+        grads = [_gradient(y, table) for _, _, y in ys]
+        for pa, ij, x in xs:
+            cov = _covector(_gradient(x, table), table)
+            for (pb, kl, _), grad in zip(ys, grads):
+                if v := _contract(cov, grad):
+                    put(pa, ij, pb, kl, v)
     return TensorMatrix({k: tuple(v) for k, v in acc.items()})
+
+
+def _antisymmetric_brackets(xs, table: BracketTable, put) -> None:
+    """put every nonzero {x_n, x_m} and {x_m, x_n} = -{x_n, x_m}, n < m, of the
+    entries xs = [(lambda-power, index, entry)], with each distinct entry up
+    to sign differentiated and contracted once and each pair of distinct
+    entries bracketed once."""
+    distinct: list[DiffPoly] = []
+    first: dict[DiffPoly, int] = {}
+    where = []                              # (index into distinct, sign) per entry
+    for _, _, x in xs:
+        if (r := first.get(x)) is not None:
+            where.append((r, 1))
+        elif (r := first.get(-x)) is not None:
+            where.append((r, -1))
+        else:
+            first[x] = len(distinct)
+            where.append((len(distinct), 1))
+            distinct.append(x)
+    grads = [_gradient(x, table) for x in distinct]
+    covs = [_covector(g, table) for g in grads]
+    done: dict[tuple[int, int], tuple[DiffPoly, DiffPoly] | None] = {}
+    for n, (pa, ij, _) in enumerate(xs):
+        r, s = where[n]
+        for m in range(n + 1, len(xs)):
+            q, t = where[m]
+            if q == r:
+                continue
+            sign = s * t if r < q else -s * t
+            key = (r, q) if r < q else (q, r)
+            if key not in done:
+                v = _contract(covs[key[0]], grads[key[1]])
+                done[key] = (v, -v) if v else None
+            if (vs := done[key]) is not None:
+                pb, kl, _ = xs[m]
+                v, mirror = vs if sign > 0 else vs[::-1]
+                put(pa, ij, pb, kl, v)
+                put(pb, kl, pa, ij, mirror)
 
 
 def verify_rmatrix(A: LaxMatrix, table: BracketTable, gamma: int) -> dict:

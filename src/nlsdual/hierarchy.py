@@ -147,13 +147,17 @@ def solve_W(X: LaxMatrix, K: int) -> WSeries:
 def conserved_density(X: LaxMatrix, n: int, W: WSeries | None = None) -> DiffPoly:
     """Density of the n-th real local charge: (1/2i kappa) tr[sigma_3 sum_p X_o^(p) W^(p+n)].
 
-    Reality (invariance under conjugation) is asserted.
+    The sum runs over p = 0..N, N the lambda-degree of X, but X_o^(N) is
+    zero: :func:`solve_W` accepts only an X whose leading coefficient is
+    diagonal.  So W^(1)..W^(N+n-1) suffice; a W of that order is solved
+    when omitted or shorter.  Reality (invariance under conjugation) is
+    asserted.
     """
     if n < 1:
         raise ValueError("density index must be >= 1")
     N = X.degree()
-    if W is None or W.order < N + n:
-        W = solve_W(X, N + n)
+    if W is None or W.order < N + n - 1:
+        W = solve_W(X, N + n - 1)
     Xo = {j: X.off_part().lam_coeff(j) for j in range(N + 1)}
     acc = _zeros2()
     for p in range(N + 1):
@@ -239,6 +243,8 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
     G (1+W) = (1+W) sigma_3 without inverting 1+W:
     G[0] = sigma_3 and G[n] = W^(n) sigma_3 - sum_{j=1..n} G[n-j] W^(j),
     so a W of order >= K-1 suffices (it is solved when omitted or shorter).
+    The recurrence is linear, so it is run on (i gamma/2) G[n], the factor
+    every Y reads, and each entry of a G[n] is one :meth:`DiffPoly.dot`.
     The route shares only W with :func:`generate_partner`, of which it is the
     independent cross-check.  Raises ValueError for K < 1.
     """
@@ -248,18 +254,22 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
         raise ValueError(f"generating function order K must be >= 1, got K={K}")
     if W is None or W.order < K - 1:
         W = solve_W(X, K - 1)
-    sig = (DiffPoly.const(1), _Z, _Z, DiffPoly.const(-1))
-    G = [sig]
-    for n in range(1, K):
-        Wsig = _mul2(W.w(n), sig)
-        prods = [_mul2(G[n - j], W.w(j)) for j in range(1, n + 1)]
-        G.append(tuple(Wsig[i] - DiffPoly.sum(p[i] for p in prods) for i in range(4)))
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in
     # gamma*kappa/(2i) * G(mu) / (lambda-mu) = kappa*sum Y^(m-1)/mu^m
-    # gives Y^(m-1) = (i gamma/2) * sum_{k+n=m-1} lambda^k G[n].
-    # each G[n] is scaled once and shared by the K - n matrices that read it
-    pref = Coeff.make(0, Fraction(gamma, 2))
-    G = [tuple(x.scale(pref) for x in g) for g in G]
+    # gives Y^(m-1) = (i gamma/2) * sum_{k+n=m-1} lambda^k G[n].  Below G
+    # holds (i gamma/2) G[n], so that entry (r, c) of G[n] is
+    # W^(n)_rc (i gamma/2) (sigma_3)_cc + sum_(j,k) G[n-j]_rk (-W^(j))_kc
+    half_ig = Coeff.make(0, Fraction(gamma, 2))
+    seed = (DiffPoly.const(half_ig), DiffPoly.const(-half_ig))
+    G = [(seed[0], _Z, _Z, seed[1])]
+    neg_W = [None] + [tuple(-x for x in W.w(j)) for j in range(1, K)]
+    for n in range(1, K):
+        G.append(tuple(
+            DiffPoly.dot([(W.w(n)[2 * r + c], seed[c])]
+                         + [(G[n - j][2 * r + k], neg_W[j][2 * k + c])
+                            for j in range(1, n + 1) for k in range(2)])
+            for r in range(2) for c in range(2)))
+    # each G[n] is shared by the K - n matrices that read it
     return [LaxMatrix({k: G[m - 1 - k] for k in range(m)}, xi=_partner_direction(X, m - 1))
             for m in range(1, K + 1)]
 

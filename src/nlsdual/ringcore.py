@@ -10,6 +10,16 @@ Jet variables are interned: constructing a jet equal to an existing one
 returns that same object, so jet equality and hashing are object identity.
 The Euler operators sum over the prolongations actually present in their
 input, so their loops are bounded by the input's jets and cut nothing off.
+
+Sums of products have a one-pass kernel, :meth:`DiffPoly.dot`, which adds
+each term product into a pair of Fractions instead of building a Coeff for
+it.  The bracket layer and the generating-function route use it.  The
+product ``*``, :meth:`DiffPoly.sum` and the recursion route (W, the Neumann
+series, the densities) still build one Coeff per product: they are what
+``gen-v``, ``gen-dual``, ``charges`` and ``verify-zc`` run, and the
+benchmark's host-speed sampler takes no sample from a command that finishes
+before its first tick (ROADMAP item 1(a)), so they move onto the kernel
+once it does.
 """
 
 from __future__ import annotations
@@ -48,6 +58,14 @@ class Coeff:
         items.sort()
         object.__setattr__(self, "terms", tuple(items))
         object.__setattr__(self, "_hash", hash(self.terms))
+
+    @staticmethod
+    def _of(terms: tuple) -> "Coeff":
+        """Wrap a sorted tuple of (p, re, im) with no zero term (no checks)."""
+        c = object.__new__(Coeff)
+        object.__setattr__(c, "terms", terms)
+        object.__setattr__(c, "_hash", hash(terms))
+        return c
 
     # -- constructors ------------------------------------------------------
     @staticmethod
@@ -150,6 +168,7 @@ class Coeff:
         return " + ".join(parts)
 
 
+_F0 = Fraction(0)
 _ZERO = Coeff()
 _ONE = Coeff({0: (Fraction(1), Fraction(0))})
 _I = Coeff({0: (Fraction(0), Fraction(1))})
@@ -354,6 +373,57 @@ class DiffPoly:
         for p in polys:
             _accumulate(acc, p.terms)
         return DiffPoly(acc)
+
+    @staticmethod
+    def dot(pairs: Iterable[tuple["DiffPoly", "DiffPoly"]]) -> "DiffPoly":
+        """sum_i a_i * b_i over the pairs (a_i, b_i), in one pass.
+
+        Equal to ``DiffPoly.sum(a * b for a, b in pairs)``, result and
+        canonical form alike, without a Coeff per term product: each product
+        of Gaussian rationals is added straight into an accumulator of two
+        Fractions per (monomial, sqrt(kappa) power), skipping the parts that
+        are zero, and each result Coeff is built once at the end.  The
+        rationals are exact, so the order of the additions cannot show.
+        """
+        acc: dict[Monomial, dict[int, list]] = {}
+        for a, b in pairs:
+            b_terms = b.terms.items()
+            for m1, c1 in a.terms.items():
+                t1 = c1.terms
+                for m2, c2 in b_terms:
+                    mono = tuple(sorted(m1 + m2, key=_jet_key)) if m1 and m2 else m1 + m2
+                    slot = acc.get(mono)
+                    if slot is None:
+                        slot = acc[mono] = {}
+                    for p1, r1, i1 in t1:
+                        for p2, r2, i2 in c2.terms:
+                            # (r1 + i i1)(r2 + i i2); a zero part is 0, not Fraction(0)
+                            if i1:
+                                if i2:
+                                    re = r1 * r2 - i1 * i2 if r1 and r2 else -(i1 * i2)
+                                    im = (r1 * i2 if r1 else 0) + (i1 * r2 if r2 else 0)
+                                else:
+                                    re = r1 * r2 if r1 else 0
+                                    im = i1 * r2
+                            else:
+                                re = r1 * r2 if r2 else 0
+                                im = r1 * i2 if i2 else 0
+                            pw = p1 + p2
+                            e = slot.get(pw)
+                            if e is None:
+                                slot[pw] = [re, im]
+                            else:
+                                if re:
+                                    e[0] += re
+                                if im:
+                                    e[1] += im
+        out = {}
+        for mono, slot in acc.items():
+            items = [(pw, re or _F0, im or _F0) for pw, (re, im) in slot.items() if re or im]
+            if items:
+                items.sort()
+                out[mono] = Coeff._of(tuple(items))
+        return DiffPoly._of(out)
 
     # -- predicates --------------------------------------------------------
     def is_zero(self) -> bool:

@@ -267,6 +267,32 @@ def test_matrix_bracket_matches_per_pair_reference_on_random_matrices(level, see
     assert matrix_bracket(A, B, T) == matrix_bracket_per_pair(A, B, T)
 
 
+@pytest.mark.parametrize("level", [3, 4])
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10**6))
+def test_matrix_bracket_with_repeated_and_negated_entries(level, seed):
+    # entries drawn from a pool of two polynomials, their negatives and zero,
+    # so that equal and opposite entries meet within and across lambda-powers
+    T = _table_T_once(level)
+    rng = random.Random(seed)
+    coords = list(T.coords)
+    pool = [random_poly(rng, coords, n_terms=2, max_deg=2) for _ in range(2)]
+    pool += [-x for x in pool] + [Z]
+    A = LaxMatrix({p: tuple(rng.choice(pool) for _ in range(4)) for p in rng.sample(range(-1, 3), 2)})
+    assert matrix_bracket(A, A, T) == matrix_bracket_per_pair(A, A, T)
+
+
+def test_matrix_bracket_of_a_matrix_with_one_entry_up_to_sign():
+    T = _table_T_once(3)
+    x = v(pj(1)) * v(qj(2)) + v(pj(), cf(0, 1, 1))
+    A = LaxMatrix({0: (x, -x, x, -x), 1: (-x, Z, x, x)})
+    assert matrix_bracket(A, A, T) == matrix_bracket_per_pair(A, A, T)
+    assert matrix_bracket(A, A, T).coeffs == {}          # {x, +-x} = 0
+    B = LaxMatrix({0: (x, -x, Z, Z), 1: (Z, Z, v(qj(2)), -v(qj(2)))})
+    assert matrix_bracket(B, B, T) == matrix_bracket_per_pair(B, B, T)
+    assert matrix_bracket(B, B, T).coeffs
+
+
 def test_rmatrix_v2_under_t3_closure_error():
     V3 = generate_partner(U, 1, 3)
     with pytest.raises(ValueError):

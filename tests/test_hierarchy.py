@@ -129,6 +129,23 @@ def test_density_three_is_energy_up_to_total_derivative():
     assert not (d - nls_hamiltonian_density()).is_zero()  # representatives differ
 
 
+@pytest.mark.parametrize("level, top", [(1, 10), (2, 5), (3, 4)])
+def test_density_needs_w_to_one_order_below_degree_plus_index(level, top, monkeypatch):
+    # X_o^(N) is zero, so W^(N+n) only ever multiplies zero
+    X = U if level == 1 else generate_partner(U, 1, level)
+    N = X.degree()
+    W = solve_W(X, N + top)
+    for n in range(1, top + 1):
+        full = conserved_density(X, n, WSeries(X, W.entries[:N + n]))
+        assert conserved_density(X, n) == full
+        assert conserved_density(X, n, WSeries(X, W.entries[:N + n - 2])) == full   # re-solved
+    monkeypatch.setattr(hierarchy, "solve_W", None)     # a W of order N+n-1 is used as given
+    for n in range(1, top + 1):
+        short = conserved_density(X, n, WSeries(X, W.entries[:N + n - 1]))
+        full = conserved_density(X, n, WSeries(X, W.entries[:N + n]))
+        assert short == full and short.to_json_obj() == full.to_json_obj(), n
+
+
 # --- partner generation: the printed tables, exactly ----------------------------
 
 def test_generate_partner_reproduces_printed_tables():

@@ -62,6 +62,24 @@ def test_negated_t8_entry_fails_and_names_the_entries(kind):
     assert want and got == want
 
 
+@pytest.mark.parametrize("level", range(2, 8))
+def test_rmatrix_mutations_fail_at_every_entry(level):
+    # matrix_bracket brackets each distinct entry of V_n once up to sign; no
+    # mutation of the sign or of the table may hide behind that reuse
+    Vn, Tn = _partner(level), _space(level).table
+    assert verify_rmatrix(Vn, Tn, -1)["status"] == "pass"
+    assert verify_rmatrix(Vn, Tn, +1)["status"] == "fail"
+    pairs = list(Tn.nonzero_pairs())
+    for a, b, t in pairs:
+        bad = BracketTable(Tn.coords, {(x, y): -w if (x, y) == (a, b) else w for x, y, w in pairs})
+        rep = verify_rmatrix(Vn, bad, -1)
+        shift = matrix_bracket_per_pair(Vn, Vn, BracketTable(Tn.coords, {(a, b): t}))
+        want = {(pw[0], pw[1], i, j): repr(w.scale(-2)) for pw, i, j, w in tensor_entries(shift)}
+        got = {(r["lambda_pow"], r["mu_pow"], r["row"], r["col"]): r["residual"]
+               for r in rep["per_entry_residuals"]}
+        assert rep["status"] == "fail" and want and got == want, (a, b)
+
+
 def _digest_function():
     """The benchmark's canonical-JSON digest, loaded without touching sys.path."""
     name = "perfbench_workloads"

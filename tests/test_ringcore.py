@@ -59,6 +59,51 @@ def test_ring_axioms(seed):
     assert a + (-a) == DiffPoly.zero()
 
 
+def _random_pairs(rng):
+    """Pairs of random polynomials (sqrt(kappa) powers -1..2, parts that are
+    zero, multi-term coefficients), some of them zero and some the negative
+    of the pair before, so that their products cancel."""
+    pairs = []
+    for _ in range(rng.randint(0, 4)):
+        a, b = (random_poly(rng) if rng.random() < 0.85 else DiffPoly.zero() for _ in range(2))
+        pairs.append((a, b))
+        if rng.random() < 0.3:
+            pairs.append((-a, b) if rng.random() < 0.5 else (b, -a))
+    return pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 10**6))
+def test_dot_is_the_sum_of_products(seed):
+    pairs = _random_pairs(random.Random(seed))
+    want = DiffPoly.sum(a * b for a, b in pairs)
+    got = DiffPoly.dot(iter(pairs))
+    assert got == want
+    assert got.to_json_obj() == want.to_json_obj()
+    assert repr(got) == repr(want)
+    # canonical form: Fraction parts, sorted powers, no zero term
+    for c in got.terms.values():
+        assert c.terms == tuple(sorted(c.terms)) and hash(c) == hash(c.terms)
+        assert all(type(x) is Fraction for _, re, im in c.terms for x in (re, im))
+        assert all(re or im for _, re, im in c.terms)
+
+
+def test_dot_edge_cases():
+    a = x_block() + DiffPoly.const(cf(Fraction(2, 3), Fraction(-1, 5), -1))
+    b = y_block() + v(qj(), cf(0, 3, 2))
+    assert DiffPoly.dot([]).terms == {}
+    assert DiffPoly.dot([(a, DiffPoly.zero()), (DiffPoly.zero(), b)]).terms == {}
+    assert DiffPoly.dot([(a, b), (b, -a)]).terms == {}
+    # real, imaginary and mixed parts against each other; the second pair
+    # cancels the kappa-free part of the first where c1 is real
+    parts = [cf(2), cf(0, 3), cf(1, -2), cf(Fraction(1, 2), 0, 1), cf(0, -1, -1), cf(1) + cf(0, 1, 2)]
+    for c1 in parts:
+        for c2 in parts:
+            pairs = [(v(pj(), c1), v(qj(), c2)), (v(qj(), c2 * cf(-1)), v(pj(), cf(c1.terms[0][1])))]
+            assert DiffPoly.dot(pairs) == DiffPoly.sum(x * y for x, y in pairs)
+            assert DiffPoly.dot(pairs).to_json_obj() == DiffPoly.sum(x * y for x, y in pairs).to_json_obj()
+
+
 def test_basic_ring_identities():
     psi = v(pj())
     assert psi + (-psi) == DiffPoly.zero()
