@@ -5,7 +5,7 @@ coefficients of their mutual brackets; everything else follows by the
 Leibniz rule.  On top of that this module implements
 
 * the variational bracket of an integrated density with a local polynomial,
-* the tensor bracket {A_1(lambda), B_2(mu)} of Lax matrices and the check
+* the tensor bracket {A_1(lambda), A_2(mu)} of a Lax matrix and the check
   of the ultralocal r-matrix identity against its divided-difference form,
 * the Legendre/Dirac analysis of the hierarchy Lagrangians in either the
   time or the space direction, including the auxiliary-field reduction of
@@ -178,43 +178,25 @@ def _bracket_by_flows(flows: Mapping[JetVar, DiffPoly], g: DiffPoly, coords, w) 
 # ---------------------------------------------------------------------------
 
 
-def matrix_bracket(A: LaxMatrix, B: LaxMatrix, table: BracketTable) -> TensorMatrix:
-    """{A_1(lambda), B_2(mu)} entrywise, as a (lambda, mu)-bigraded 4x4.
+def matrix_bracket(A: LaxMatrix, table: BracketTable) -> TensorMatrix:
+    """{A_1(lambda), A_2(mu)} entrywise, as a (lambda, mu)-bigraded 4x4.
 
-    Block (pa, pb) holds {A[pa][ij], B[pb][kl]} at row 2i+k, column 2j+l.
-    Each entry of A is contracted with the table once and each entry of B
-    differentiated once.  For B is A the bracket is antisymmetric, so each
-    unordered pair of entries is bracketed once and block (pb, pa) at
-    (kl, ij) gets the negative of block (pa, pb) at (ij, kl).  It is also
-    bilinear, so an entry equal to an earlier one or to its negative reuses
-    that entry's gradient, covector and brackets, and {x, +-x} = 0 is not
-    computed at all.  That is exact for any A; a traceless one, such as
-    every V_n, has at each lambda-power an entry that is minus another.
+    Block (pa, pb) holds {A[pa][ij], A[pb][kl]} at row 2i+k, column 2j+l.
+    The bracket is antisymmetric, so each unordered pair of entries is
+    bracketed once and block (pb, pa) at (kl, ij) gets the negative of block
+    (pa, pb) at (ij, kl).  It is also bilinear, so an entry equal to an
+    earlier one or to its negative reuses that entry's gradient, covector
+    and brackets, and {x, +-x} = 0 is not computed at all: each distinct
+    entry up to sign is differentiated and contracted with the table once.
+    That is exact for any A; a traceless one, such as every V_n, has at each
+    lambda-power an entry that is minus another.
     """
     xs = [(pa, ij, x) for pa, ea in A.coeffs.items() for ij, x in enumerate(ea) if x]
-    acc = {(pa, pb): [_Z] * 16 for pa in A.coeffs for pb in B.coeffs}
+    acc = {(pa, pb): [_Z] * 16 for pa in A.coeffs for pb in A.coeffs}
 
     def put(pa, ij, pb, kl, v):
         acc[(pa, pb)][4 * (2 * (ij // 2) + kl // 2) + 2 * (ij % 2) + kl % 2] = v
 
-    if B is A:
-        _antisymmetric_brackets(xs, table, put)
-    else:
-        ys = [(pb, kl, y) for pb, eb in B.coeffs.items() for kl, y in enumerate(eb) if y]
-        grads = [_gradient(y, table) for _, _, y in ys]
-        for pa, ij, x in xs:
-            cov = _covector(_gradient(x, table), table)
-            for (pb, kl, _), grad in zip(ys, grads):
-                if v := _contract(cov, grad):
-                    put(pa, ij, pb, kl, v)
-    return TensorMatrix({k: tuple(v) for k, v in acc.items()})
-
-
-def _antisymmetric_brackets(xs, table: BracketTable, put) -> None:
-    """put every nonzero {x_n, x_m} and {x_m, x_n} = -{x_n, x_m}, n < m, of the
-    entries xs = [(lambda-power, index, entry)], with each distinct entry up
-    to sign differentiated and contracted once and each pair of distinct
-    entries bracketed once."""
     distinct: list[DiffPoly] = []
     first: dict[DiffPoly, int] = {}
     where = []                              # (index into distinct, sign) per entry
@@ -246,6 +228,7 @@ def _antisymmetric_brackets(xs, table: BracketTable, put) -> None:
                 v, mirror = vs if sign > 0 else vs[::-1]
                 put(pa, ij, pb, kl, v)
                 put(pb, kl, pa, ij, mirror)
+    return TensorMatrix({k: tuple(v) for k, v in acc.items()})
 
 
 def verify_rmatrix(A: LaxMatrix, table: BracketTable, gamma: int) -> dict:
@@ -256,7 +239,7 @@ def verify_rmatrix(A: LaxMatrix, table: BracketTable, gamma: int) -> dict:
     by block and entry by entry, and only the entries that differ are
     subtracted.
     """
-    lhs = matrix_bracket(A, A, table).coeffs
+    lhs = matrix_bracket(A, table).coeffs
     rhs = rmatrix_bracket_rhs(A, gamma).coeffs
     zeros = (_Z,) * 16
     residuals = [
@@ -699,9 +682,9 @@ def _space_jet_translation(Hred: DiffPoly, reduced: BracketTable, level: int, w)
             jet_map[JetVar(psi_name, k)] = cur
     jets = sorted(jet_map, key=lambda v: (v.dx, v.sort_key()))
     rules = _invert_jet_map(jet_map, jets, reduced.coords, w)
-    # one covector and one gradient per jet, contracted for each pair
-    covs = [_covector(_gradient(jet_map[j], reduced), reduced) for j in jets[:-1]]
+    # one gradient per jet, and a covector for each but the last, contracted for each pair
     grads = [_gradient(jet_map[j], reduced) for j in jets]
+    covs = [_covector(g, reduced) for g in grads[:-1]]
     entries = {(ja, jb): _contract(covs[a], grads[b]).substitute(rules)
                for a, ja in enumerate(jets) for b, jb in enumerate(jets) if b > a}
     return BracketTable(jets, entries, label=f"T{level}"), Hred.substitute(rules)

@@ -150,11 +150,13 @@ def conserved_density(X: LaxMatrix, n: int, W: WSeries | None = None) -> DiffPol
     The sum runs over p = 0..N, N the lambda-degree of X, but X_o^(N) is
     zero: :func:`solve_W` accepts only an X whose leading coefficient is
     diagonal.  So W^(1)..W^(N+n-1) suffice; a W of that order is solved
-    when omitted or shorter.  Reality (invariance under conjugation) is
-    asserted.
+    when omitted or shorter, and one solved for another matrix raises
+    ValueError.  Reality (invariance under conjugation) is asserted.
     """
     if n < 1:
         raise ValueError("density index must be >= 1")
+    if W is not None and not (W.X is X or W.X == X):
+        raise ValueError("W was solved for another matrix than X")
     N = X.degree()
     if W is None or W.order < N + n - 1:
         W = solve_W(X, N + n - 1)
@@ -213,11 +215,14 @@ def generate_partner(X: LaxMatrix, gamma: int, n: int, W: WSeries | None = None)
     Y^(n) = lambda Y^(n-1) + i gamma sigma_3 * [(1+W)^-1 - 1]_(mu^-n).
     The result is traceless, sigma-symmetric and graded; these properties are
     exercised by the test suite rather than re-asserted on every call.
+    Raises ValueError for a W solved for another matrix than X.
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
     if n < 0:
         raise ValueError("partner level must be >= 0")
+    if W is not None and not (W.X is X or W.X == X):
+        raise ValueError("W was solved for another matrix than X")
     if W is None or W.order < n:
         W = solve_W(X, max(n, 1) + 2)
     half_ig = Coeff.make(0, Fraction(gamma, 2))
@@ -246,12 +251,15 @@ def generating_function_expand(X: LaxMatrix, gamma: int, K: int, W: WSeries | No
     The recurrence is linear, so it is run on (i gamma/2) G[n], the factor
     every Y reads, and each entry of a G[n] is one :meth:`DiffPoly.dot`.
     The route shares only W with :func:`generate_partner`, of which it is the
-    independent cross-check.  Raises ValueError for K < 1.
+    independent cross-check.  Raises ValueError for K < 1 and for a W solved
+    for another matrix than X.
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
     if K < 1:
         raise ValueError(f"generating function order K must be >= 1, got K={K}")
+    if W is not None and not (W.X is X or W.X == X):
+        raise ValueError("W was solved for another matrix than X")
     if W is None or W.order < K - 1:
         W = solve_W(X, K - 1)
     # With 1/(lambda-mu) = -sum_k lambda^k / mu^(k+1), collecting mu^-m in

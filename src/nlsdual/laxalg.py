@@ -115,9 +115,6 @@ class LaxMatrix:
     def __sub__(self, other: "LaxMatrix") -> "LaxMatrix":
         return self + (-other)
 
-    def scale(self, c) -> "LaxMatrix":
-        return LaxMatrix({p: _scale2(e, c) for p, e in self.coeffs.items()}, self.xi)
-
     def shift_lambda(self, k: int) -> "LaxMatrix":
         return LaxMatrix({p + k: e for p, e in self.coeffs.items()}, self.xi)
 
@@ -320,17 +317,14 @@ def divided_difference(A: LaxMatrix) -> dict[tuple[int, int], Entry2]:
 
     For A = sum_j A_j lambda^j this is sum_j A_j sum_{a+b=j-1} lambda^a mu^b,
     returned as a map (lambda-power, mu-power) -> 2x2 entries; no division is
-    ever performed, so the result is structurally polynomial.  Raises for
-    Laurent input with negative lambda powers.
+    ever performed, so the result is structurally polynomial.  Two powers j
+    never share a key and a LaxMatrix holds no all-zero block, so (a, b)
+    maps straight to the entries of A_(a+b+1), with nothing added or
+    filtered.  Raises for Laurent input with negative lambda powers.
     """
-    out: dict[tuple[int, int], Entry2] = {}
-    for j, e in A.coeffs.items():
-        if j < 0:
-            raise ValueError("divided difference requires polynomial lambda dependence")
-        for a in range(j):
-            b = j - 1 - a
-            out[(a, b)] = _add2(out.get((a, b), _zeros2()), e)
-    return {k: v for k, v in out.items() if not _is_zero2(v)}
+    if any(j < 0 for j in A.coeffs):
+        raise ValueError("divided difference requires polynomial lambda dependence")
+    return {(a, j - 1 - a): e for j, e in A.coeffs.items() for a in range(j)}
 
 
 def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:

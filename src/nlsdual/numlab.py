@@ -61,7 +61,10 @@ against 5.1-8.9 ms in blocks of 512, 4.0-6.0 ms in blocks of 2048 and
 4.2-7.2 ms at full length (min of 30, in three rounds on a shared 2-vCPU
 VM).  A process's first call of some numpy loops (np.power, an integer
 remainder, argmax) raises its peak RSS by about 0.12 MB each, so the
-transfers call none that the rest of a run does not need.
+transfers call none that the rest of a run does not need.  The same holds
+for LAPACK: a first ``np.linalg.det`` raised it by 0.19-0.31 MB, so the
+determinant check reads ad - bc in closed form off the (lambdas, 2, 2)
+array of transfers, and the traces are a00 + a11, bit for bit np.trace.
 
 Along t, each station derivative is one dot product per time step
 (``np.vecdot``), which OpenBLAS runs as ``zdotc`` on the calling thread.  A
@@ -439,16 +442,19 @@ def charge_evaluate(density: DiffPoly, traj: Trajectory) -> np.ndarray:
 class MonodromySample:
     __slots__ = ("lam_values", "matrices", "direction")
 
-    def __init__(self, lam_values: list[complex], matrices: list[np.ndarray], direction: str):
+    def __init__(self, lam_values: list[complex], matrices: np.ndarray, direction: str):
         self.lam_values = lam_values
-        self.matrices = matrices            # 2x2 complex transfer matrices
+        self.matrices = matrices            # (lambdas, 2, 2) complex transfer matrices
         self.direction = direction          # 'along_x' or 'along_t'
 
     def traces(self) -> np.ndarray:
-        return np.array([np.trace(m) for m in self.matrices])
+        m = self.matrices
+        return m[:, 0, 0] + m[:, 1, 1]
 
     def det_errors(self) -> np.ndarray:
-        return np.array([abs(np.linalg.det(m) - 1.0) for m in self.matrices])
+        """|ad - bc - 1| per matrix, in closed form: no LAPACK call."""
+        m = self.matrices
+        return np.abs(m[:, 0, 0] * m[:, 1, 1] - m[:, 0, 1] * m[:, 1, 0] - 1.0)
 
 
 def _entry_arrays(M: LaxMatrix, values: Mapping[JetVar, np.ndarray], kappa: float,
@@ -533,7 +539,7 @@ def _ordered_product(P: Sequence[np.ndarray]) -> np.ndarray:
 
 
 def _block_products(entries, n_steps: int, lam_values: Sequence[complex],
-                    h: float) -> list[np.ndarray]:
+                    h: float) -> np.ndarray:
     """The ordered product of the RK4 step propagators of every lambda, with
     the steps taken ``_BLOCK_STEPS`` at a time.
 
@@ -561,7 +567,7 @@ def _block_products(entries, n_steps: int, lam_values: Sequence[complex],
     # entry i of every lambda's partial products: one (lambdas, n_steps / 2^levels) array
     rest = [np.array([np.concatenate([block[i] for block in parts]) for parts in partial])
             for i in range(4)]
-    return list(_ordered_product(rest))
+    return _ordered_product(rest)
 
 
 def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction: str,

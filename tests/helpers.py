@@ -245,7 +245,7 @@ def tensor_entries(T: TensorMatrix):
 def verify_rmatrix_by_difference(A, table, gamma: int) -> dict:
     """``brackets.verify_rmatrix``'s report from the whole difference
     {A_1, A_2} - rhs, a TensorMatrix, read entry by entry."""
-    diff = matrix_bracket(A, A, table) - rmatrix_bracket_rhs(A, gamma)
+    diff = matrix_bracket(A, table) - rmatrix_bracket_rhs(A, gamma)
     residuals = [
         {"lambda_pow": pw[0], "mu_pow": pw[1], "row": i, "col": j, "residual": repr(v)}
         for pw, i, j, v in tensor_entries(diff)

@@ -1,7 +1,9 @@
 """End-to-end exercise of every CLI subcommand through main()."""
 
+import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,13 +13,33 @@ import pytest
 from nlsdual import brackets, hierarchy
 from nlsdual.cli import main
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+TESTS = Path(__file__).resolve().parent
+SRC = TESTS.parent / "src"
+# the README's exact command lines, one a line; CI runs them from this file too
+README_COMMANDS = (TESTS / "readme_commands.txt").read_text().splitlines()
 
 
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, json.loads(out)
+
+
+def test_readme_commands_file_is_the_readme_exact_command_lines():
+    readme = (TESTS.parent / "README.md").read_text()
+    lines = [m.group(1).split("#")[0].strip()
+             for m in re.finditer(r"^nlsdual (.*)$", readme, re.MULTILINE)]
+    assert README_COMMANDS == [x for x in lines if not x.startswith("sim ")]
+
+
+@pytest.mark.parametrize("line", README_COMMANDS)
+def test_readme_command_prints_its_recorded_report(capsys, line):
+    # tests/digests.json is add-only: the sha256 of each report's stdout as
+    # recorded; a change that must alter a report says why in CHANGES.md
+    digests = json.loads((TESTS / "digests.json").read_text())
+    assert main(line.split()) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digests[f"readme/{line}"]
 
 
 def test_gen_v_latex(capsys):

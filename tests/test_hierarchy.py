@@ -241,6 +241,20 @@ def test_generating_function_rejects_order_below_one(K):
         generating_function_expand(U, 1, K)
 
 
+def test_a_w_solved_for_another_matrix_is_rejected():
+    V2, W = generate_partner(U, 1, 2), solve_W(U, 3)
+    for call in (lambda: generate_partner(V2, -1, 2, W), lambda: conserved_density(V2, 1, W),
+                 lambda: generating_function_expand(V2, -1, 3, W)):
+        with pytest.raises(ValueError, match="another matrix"):
+            call()
+    # a W solved for an equal but distinct U is accepted
+    W_eq = solve_W(build_u(), 3)
+    assert W_eq.X is not U
+    assert generate_partner(U, 1, 2, W_eq) == V2
+    assert conserved_density(U, 1, W_eq) == conserved_density(U, 1)
+    assert generating_function_expand(U, 1, 3, W_eq) == generating_function_expand(U, 1, 3)
+
+
 @pytest.mark.slow
 def test_two_routes_agree_through_v13():
     W = solve_W(U, 13)

@@ -42,7 +42,7 @@ def test_sigma3_field_matrix_commutator():
     # [sigma3, Q] = 2 sigma3 Q  (oracle: direct 2x2 multiplication)
     s3, Q = sigma3(), field_matrix()
     lhs = s3.commutator(Q)
-    rhs = s3.matmul(Q).scale(2)
+    rhs = s3.matmul(Q).applyfunc(lambda x: x.scale(2))
     assert (lhs - rhs).is_zero()
 
 
@@ -62,7 +62,7 @@ def test_sigma_symmetry_closure():
     C = U.commutator(V2)
     assert C.trace_zero()
     assert C.sigma_symmetric()
-    assert not C.scale(Coeff.i()).sigma_symmetric()
+    assert not C.applyfunc(lambda x: x.scale(Coeff.i())).sigma_symmetric()
 
 
 def test_grading_of_commutator():
@@ -77,7 +77,7 @@ def test_sums_and_products_keep_only_a_common_direction():
     U = build_u()
     V2, V3 = generate_partner(U, 1, 2), generate_partner(U, 1, 3)
     assert (U.matmul(U).xi, U.matmul(U).level) == ("x", 2)
-    assert (V3 - V3.scale(2)).xi == ("t", 3)
+    assert (V3 - V3.applyfunc(lambda x: x.scale(2))).xi == ("t", 3)
     for A, B in ((U, V2), (U, V3), (V2, V3)):
         C = A.commutator(B)
         assert C.xi is None and C.level == A.level + B.level
@@ -182,6 +182,21 @@ def test_rmatrix_rhs_against_bruteforce_products():
         kap = KAPPA
         acc = TensorMatrix({pw: tuple(x.scale(kap) for x in e) for pw, e in acc.coeffs.items()})
         assert (acc - rmatrix_bracket_rhs(A, 1)).is_zero()
+
+
+def test_divided_difference_holds_the_coefficient_entries_themselves():
+    # DA at (a, b) is A_j for a + b = j - 1: every such key, no other, and
+    # the entry objects of A_j, not copies or sums
+    U = build_u()
+    for A in [U] + [generate_partner(U, 1, n) for n in range(2, 8)]:
+        DA = divided_difference(A)
+        assert sorted(DA) == sorted((a, j - 1 - a) for j in A.coeffs for a in range(j))
+        for (a, b), e in DA.items():
+            assert all(x is y for x, y in zip(e, A.coeffs[a + b + 1], strict=True))
+    one = DiffPoly.const(1)
+    e = (one, Z, Z, -one)
+    with pytest.raises(ValueError, match="polynomial lambda dependence"):
+        divided_difference(LaxMatrix({2: e, -1: e}))
 
 
 def test_rmatrix_rhs_rejects_laurent():

@@ -249,6 +249,17 @@ def test_transfer_of_a_matrix_with_an_entry_zero_at_every_power():
     assert np.array_equal(s.matrices[0], np.eye(2))
 
 
+def test_traces_and_determinant_errors_against_numpy():
+    # traces are np.trace bit for bit; the closed-form ad - bc agrees with
+    # LAPACK's determinant to round-off
+    rng = np.random.default_rng(5)
+    m = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
+    s = N.MonodromySample(list(range(6)), m, "along_x")
+    assert np.array_equal(s.traces(), np.array([np.trace(x) for x in m]))
+    want = np.array([abs(np.linalg.det(x) - 1.0) for x in m])
+    assert np.allclose(s.det_errors(), want, rtol=0, atol=1e-14)
+
+
 def test_transfer_det_one_and_trace_conservation():
     st = N.plane_wave(128, np.pi, 1.0, 0.9, 2)
     traj = N.evolve_nls(st, (0.0, 0.5), 2000, n_snapshots=3)
