@@ -555,13 +555,12 @@ def _legendre(Lwork: DiffPoly, coords: list[JetVar], xi):
             [f"C[{coords[i].field}]" for _, i, _ in keyed])
 
 
-def _constraint_matrix(constraints: list[DiffPoly], covs, canonical: BracketTable):
+def _constraint_matrix(covs, grads):
     """Stage 2: M[a][b] = {C_a, C_b}, which must be constant, and its inverse.
 
-    ``covs[a]`` is the covector of C_a, so {C_a, C_b} is its contraction
-    with the gradient of C_b.
+    ``covs[a]`` and ``grads[a]`` are the covector and the gradient of C_a, so
+    {C_a, C_b} is the contraction of the one with the other.
     """
-    grads = [_gradient(C, canonical) for C in constraints]
     M = []
     for cov in covs:
         row = [_contract(cov, grad).constant_value() for grad in grads]
@@ -583,8 +582,9 @@ def _elim_priority(v: JetVar) -> int:
 
 
 def _elimination_map(constraints: list[DiffPoly]) -> dict[JetVar, DiffPoly]:
-    """Stage 3: one phase coordinate solved from each constraint, closed under
-    substitution so that no right-hand side holds an eliminated coordinate."""
+    """Stage 3: one phase coordinate solved from each constraint.  No right-hand
+    side may hold an eliminated coordinate, so no closing substitution is
+    needed; ValueError names the coordinate whose elimination holds one."""
     elim: dict[JetVar, DiffPoly] = {}
     for C in constraints:
         cands = sorted((v for v in C.jets() if v not in elim), key=lambda v: (_elim_priority(v), v.sort_key()))
@@ -595,29 +595,23 @@ def _elimination_map(constraints: list[DiffPoly]) -> dict[JetVar, DiffPoly]:
         else:
             raise ValueError("cannot solve a constraint for any variable")
         elim[v] = (DiffPoly.var(v, c0) - C).scale(c0.inverse())
-    for _ in range(len(elim) + 1):
-        changed = False
-        for v, e in list(elim.items()):
-            e2 = e._replace_jets(elim)
-            if e2 != e:
-                elim[v] = e2
-                changed = True
-        if not changed:
-            return elim
-    raise ValueError("elimination map does not close (cyclic eliminations)")
+    for v, e in elim.items():
+        if not e.jets().isdisjoint(elim):
+            raise ValueError(f"the elimination of {v} holds an eliminated coordinate")
+    return elim
 
 
 def _dirac_tables(phase: list[JetVar], covs, canonical: BracketTable,
                   Minv, elim: Mapping[JetVar, DiffPoly], label: str):
     """Stage 4: the Dirac table on the full phase space and on the reduced one.
 
-    {v, u}_D = {v, u} - sum_ab {v, C_a} Minv[a][b] {C_b, u}.  Each
-    K[v][a] = {v, C_a} = -covs[a][v] is read off the covector of C_a, and
-    {C_b, u} = -K[u][b].  The reduced table takes the full table's entries
-    for the pairs of coordinates that are not eliminated and substitutes the
-    eliminations into them.
+    {v, u}_D = {v, u} - sum_ab {v, C_a} Minv[a][b] {C_b, u}, where {v, C_a} =
+    -covs[a][v] and {C_b, u} = covs[b][u]; the signs cancel against the
+    leading minus, so K[v][a] = covs[a][v] is read off unnegated.  The reduced
+    table takes the full table's entries for the pairs of coordinates that
+    are not eliminated and substitutes the eliminations into them.
     """
-    K = {v: [-cov.get(v, _Z) for cov in covs] for v in phase}
+    K = {v: [cov.get(v, _Z) for cov in covs] for v in phase}
     minv = [(a, b, c) for a, row in enumerate(Minv) for b, c in enumerate(row) if c]
     full = {}
     for i, v in enumerate(phase):
@@ -718,8 +712,9 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     phase = coords + momenta
     canonical = BracketTable(phase, {(p, c): DiffPoly.const(1) for c, p in zip(coords, momenta)},
                              label="canonical")
-    covs = [_covector(_gradient(C, canonical), canonical) for C in constraints]
-    M, Minv = _constraint_matrix(constraints, covs, canonical)
+    grads = [_gradient(C, canonical) for C in constraints]
+    covs = [_covector(g, canonical) for g in grads]
+    M, Minv = _constraint_matrix(covs, grads)
     elim = _elimination_map(constraints)
     dirac_full, reduced = _dirac_tables(phase, covs, canonical, Minv, elim, direction)
     Hred = Hc._replace_jets(elim)

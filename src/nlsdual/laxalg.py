@@ -334,8 +334,9 @@ def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:
     gamma * kappa * ((DA x I) - (I x DA)) * P_12 with
     DA = (A(mu) - A(lambda)) / (mu - lambda); the rational pole is never
     materialised.  Every (lambda, mu)-block (a, b) of DA with a + b = j - 1
-    holds the entries of A_j, so the 16-entry block is built once per
-    lambda-power j and shared by those j keys.
+    holds the entries of A_j, so those four are scaled by gamma * kappa and
+    the 16-entry block is built from them once per lambda-power j, shared
+    by those j keys.
     """
     if gamma not in (1, -1):
         raise ValueError("gamma must be +1 or -1")
@@ -345,6 +346,7 @@ def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:
     for (a, b), e in divided_difference(A).items():
         j = a + b + 1
         if j not in blocks:
+            e = [x.scale(g) for x in e]
             t = [_Z] * 16
             for i in range(2):
                 for k in range(2):
@@ -353,6 +355,6 @@ def rmatrix_bracket_rhs(A: LaxMatrix, gamma: int) -> TensorMatrix:
                         # (DA x I)[(i,k),(jj,k)] - (I x DA)[(i,k),(i,jj)], columns permuted by P_12
                         t[row + _PERM_COL[2 * jj + k]] += e[2 * i + jj]
                         t[row + _PERM_COL[2 * i + jj]] -= e[2 * k + jj]
-            blocks[j] = tuple(x.scale(g) for x in t)
+            blocks[j] = tuple(t)
         out[(a, b)] = blocks[j]
     return TensorMatrix(out)

@@ -4,9 +4,12 @@ the tests compare the library against."""
 
 from __future__ import annotations
 
+import importlib.util
 import json
 import random
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 
@@ -19,6 +22,17 @@ from nlsdual.ringcore import (KAPPA, PSI, PSIBAR, SQRT_KAPPA, Coeff, DiffPoly, J
                               _accumulate, _jet_key)
 
 I = Coeff.i()
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def canonical_digest(obj) -> str:
+    """The benchmark's canonical-JSON digest, loaded without touching sys.path."""
+    name = "perfbench_workloads"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
+        module = sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return sys.modules[name].digest(obj)
 
 
 def pj(dx=0, t=()) -> JetVar:

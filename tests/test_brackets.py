@@ -552,6 +552,14 @@ def test_field_dependent_constraint_matrix_rejected():
         dirac_pipeline(L, "time")
 
 
+def test_elimination_that_holds_an_eliminated_coordinate_raises():
+    # P_a - b eliminates P_a; P_b - P_a then solves P_b for the eliminated P_a
+    Pa, b, Pb = JetVar("P_a"), JetVar("b"), JetVar("P_b")
+    with pytest.raises(ValueError, match=f"elimination of {Pb!r} holds"):
+        B._elimination_map([v(Pa) - v(b), v(Pb) - v(Pa)])
+    assert B._elimination_map([v(Pa) - v(b), v(Pb) - v(b)]) == {Pa: v(b), Pb: v(b)}
+
+
 # --- Hamilton equations --------------------------------------------------------
 
 def test_hamilton_check_level2_time():
