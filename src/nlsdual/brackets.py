@@ -14,9 +14,9 @@ Leibniz rule.  On top of that this module implements
 * integration-by-parts normalisation of densities and the construction of
   the level-n Lagrangian from the conserved-density ladder.
 
-The checks that only the tests run (the Jacobi defect and antisymmetry of a
-table, the full x/t Euler operator and the Euler-Lagrange check of a
-reduction) are in tests/helpers.py.
+The checks that only the tests run (the Jacobi defect of a table, the full
+x/t Euler operator and the Euler-Lagrange check of a reduction) are in
+tests/helpers.py.
 
 Conventions: {p, q} = 1 for a momentum p conjugate to a coordinate q, and
 f' = {H, f} for the evolution generated by H.
@@ -47,7 +47,9 @@ class BracketTable:
 
     ``entries`` holds the delta-coefficients for ordered pairs; the
     antisymmetric completion is generated automatically, and closure (every
-    entry a polynomial in the declared coordinates) is enforced.
+    entry a polynomial in the declared coordinates) is enforced.  A mirror
+    pair that disagrees is refused, and so is a nonzero diagonal entry, its
+    own mirror.
     """
 
     def __init__(self, coords: Sequence[JetVar], entries: Mapping[tuple[JetVar, JetVar], DiffPoly],
@@ -62,12 +64,9 @@ class BracketTable:
                 continue
             if not v.jets() <= cset:
                 raise ValueError(f"table entry for {(a, b)} depends on undeclared jets")
-            if (a, b) in full and not (full[(a, b)] - v).is_zero():
-                raise ValueError(f"inconsistent duplicate entry for {(a, b)}")
             full[(a, b)] = v
-            if (b, a) in entries:
-                if not (entries[(b, a)] + v).is_zero():
-                    raise ValueError(f"entries for {(a, b)} and {(b, a)} are not antisymmetric")
+            if (b, a) in entries and not (entries[(b, a)] + v).is_zero():
+                raise ValueError(f"entries for {(a, b)} and {(b, a)} are not antisymmetric")
             full[(b, a)] = -v
         self.entries = full
         self.rows: dict[JetVar, dict[JetVar, DiffPoly]] = {}   # rows[a][b] = entries[(a, b)]
@@ -427,13 +426,13 @@ def ostrogradski_reduce(L: DiffPoly) -> Reduction:
 
 class ConstraintSystem:
     __slots__ = ("coords", "momenta", "lagrangian", "constraints", "constraint_names", "M",
-                 "Minv", "multipliers", "second_class", "dirac_full")
+                 "Minv", "multipliers", "second_class")
 
     def __init__(self, coords: tuple[JetVar, ...], momenta: tuple[JetVar, ...],
                  lagrangian: DiffPoly, constraints: tuple[DiffPoly, ...],
                  constraint_names: tuple[str, ...], M: tuple[tuple[Coeff, ...], ...],
                  Minv: tuple[tuple[Coeff, ...], ...], multipliers: tuple[DiffPoly, ...],
-                 second_class: bool, dirac_full: BracketTable):
+                 second_class: bool):
         self.coords = coords                # coordinates, in declaration order
         self.momenta = momenta              # conjugate momenta, same order
         self.lagrangian = lagrangian
@@ -443,7 +442,6 @@ class ConstraintSystem:
         self.Minv = Minv
         self.multipliers = multipliers      # fixed by the consistency conditions
         self.second_class = second_class
-        self.dirac_full = dirac_full        # Dirac table on the full phase space
 
 
 class LegendreResult:
@@ -601,30 +599,29 @@ def _elimination_map(constraints: list[DiffPoly]) -> dict[JetVar, DiffPoly]:
     return elim
 
 
-def _dirac_tables(phase: list[JetVar], covs, canonical: BracketTable,
-                  Minv, elim: Mapping[JetVar, DiffPoly], label: str):
-    """Stage 4: the Dirac table on the full phase space and on the reduced one.
+def _dirac_table(phase: list[JetVar], covs, canonical: BracketTable,
+                 Minv, elim: Mapping[JetVar, DiffPoly], label: str) -> BracketTable:
+    """Stage 4: the Dirac table on the coordinates that survive elimination.
 
     {v, u}_D = {v, u} - sum_ab {v, C_a} Minv[a][b] {C_b, u}, where {v, C_a} =
     -covs[a][v] and {C_b, u} = covs[b][u]; the signs cancel against the
-    leading minus, so K[v][a] = covs[a][v] is read off unnegated.  The reduced
-    table takes the full table's entries for the pairs of coordinates that
-    are not eliminated and substitutes the eliminations into them.
+    leading minus, so K[v][a] = covs[a][v] is read off unnegated.  Under the
+    Dirac bracket the constraints hold strongly, so only the pairs of
+    coordinates that are not eliminated are bracketed, and the eliminations
+    are substituted into each entry.
     """
-    K = {v: [cov.get(v, _Z) for cov in covs] for v in phase}
-    minv = [(a, b, c) for a, row in enumerate(Minv) for b, c in enumerate(row) if c]
-    full = {}
-    for i, v in enumerate(phase):
-        for u in phase[i + 1:]:
-            Kv, Ku = K[v], K[u]
-            full[(v, u)] = DiffPoly.sum(
-                [canonical.entry(v, u)]
-                + [(Kv[a] * Ku[b]).scale(c) for a, b, c in minv if Kv[a] and Ku[b]])
-    dirac_full = BracketTable(phase, full, label="dirac-full")
     reduced = [v for v in phase if v not in elim]
-    red = {(v, u): dirac_full.entry(v, u)._replace_jets(elim)
-           for i, v in enumerate(reduced) for u in reduced[i + 1:]}
-    return dirac_full, BracketTable(reduced, red, label=f"dirac-reduced-{label}")
+    K = {v: [cov.get(v, _Z) for cov in covs] for v in reduced}
+    minv = [(a, b, c) for a, row in enumerate(Minv) for b, c in enumerate(row) if c]
+    entries = {}
+    for i, v in enumerate(reduced):
+        for u in reduced[i + 1:]:
+            Kv, Ku = K[v], K[u]
+            entries[(v, u)] = DiffPoly.sum(
+                [canonical.entry(v, u)]
+                + [(Kv[a] * Ku[b]).scale(c) for a, b, c in minv if Kv[a] and Ku[b]]
+            )._replace_jets(elim)
+    return BracketTable(reduced, entries, label=label)
 
 
 def _multipliers(Hred: DiffPoly, constraints: list[DiffPoly], canonical: BracketTable, w,
@@ -716,19 +713,19 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     covs = [_covector(g, canonical) for g in grads]
     M, Minv = _constraint_matrix(covs, grads)
     elim = _elimination_map(constraints)
-    dirac_full, reduced = _dirac_tables(phase, covs, canonical, Minv, elim, direction)
+    # in the time direction the surviving coordinates are the fields themselves
+    reduced = _dirac_table(phase, covs, canonical, Minv, elim,
+                           "S" if direction == "time" else "dirac-reduced")
     Hred = Hc._replace_jets(elim)
     alphas = _multipliers(Hred, constraints, canonical, w, elim, Minv)
     cs = ConstraintSystem(
         coords=tuple(coords), momenta=tuple(momenta), lagrangian=Lwork,
         constraints=tuple(constraints), constraint_names=tuple(names),
         M=tuple(map(tuple, M)), Minv=tuple(map(tuple, Minv)),
-        multipliers=tuple(alphas), second_class=True, dirac_full=dirac_full,
+        multipliers=tuple(alphas), second_class=True,
     )
     if direction == "time":
-        # the reduced coordinates are the fields themselves
-        table = BracketTable([PSI, PSIBAR], {(PSI, PSIBAR): reduced.entry(PSI, PSIBAR)}, label="S")
-        return LegendreResult(xi, level, Hred, table, cs)
+        return LegendreResult(xi, level, Hred, reduced, cs)
     table, Hdens = _space_jet_translation(Hred, reduced, level, w)
     return LegendreResult("x", level, Hdens, table, cs)
 

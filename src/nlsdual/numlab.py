@@ -440,12 +440,10 @@ def charge_evaluate(density: DiffPoly, traj: Trajectory) -> np.ndarray:
 
 
 class MonodromySample:
-    __slots__ = ("lam_values", "matrices", "direction")
+    __slots__ = ("matrices",)
 
-    def __init__(self, lam_values: list[complex], matrices: np.ndarray, direction: str):
-        self.lam_values = lam_values
+    def __init__(self, matrices: np.ndarray):
         self.matrices = matrices            # (lambdas, 2, 2) complex transfer matrices
-        self.direction = direction          # 'along_x' or 'along_t'
 
     def traces(self) -> np.ndarray:
         m = self.matrices
@@ -651,7 +649,7 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
     # one lambda at a time within a block: stacking them is no faster and
     # multiplies the block's transient arrays by the number of lambdas
     mats = _block_products(entries, npts // 2, lam_values, h)
-    sample = MonodromySample(list(lam_values), mats, direction)
+    sample = MonodromySample(mats)
     # the passing path takes only the max, no argmax (module docstring)
     errors = sample.det_errors()
     worst = errors.max()

@@ -607,6 +607,9 @@ class DiffPoly:
         and the on-shell duals on bases 2 and 3) every call settles in at most
         2 passes, one replacement and the check that nothing is left, so the
         bound leaves a margin of 62 for rule sets whose right-hand sides chain.
+        The bound cannot come from the rule set alone: a prolonged rule may
+        hold a jet that its own key prolongs, so psi_t2^k under the two level-2
+        evolution rules takes k replacements and the check.
         """
         if not rules:
             return self

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from nlsdual.brackets import (_BASE_FIELDS, _chain_field, _mu_field, _solve_linear_coeff_system,
-                              leibniz_bracket, matrix_bracket)
+                              BracketTable, leibniz_bracket, matrix_bracket)
 from nlsdual.hierarchy import _neumann_series, _partner_direction, solve_W
 from nlsdual.laxalg import (LaxMatrix, TensorMatrix, _add2, _mul2, _scale2, _zeros2,
                             rmatrix_bracket_rhs)
@@ -559,8 +559,26 @@ def check_reality(W) -> bool:
 
 # --- bracket tables and the Ostrogradski reduction ------------------------------
 
-def is_antisymmetric(table) -> bool:
-    return all((table.entry(b, a) + v).is_zero() for (a, b), v in table.entries.items())
+def canonical_table(cs) -> BracketTable:
+    """{P, q} = 1 for each coordinate q of a constraint system and its momentum P."""
+    return BracketTable(list(cs.coords) + list(cs.momenta),
+                        {(m, c): DiffPoly.const(1) for m, c in zip(cs.momenta, cs.coords)},
+                        label="canonical")
+
+
+def dirac_bracket(cs, f: DiffPoly, g: DiffPoly) -> DiffPoly:
+    """{f, g}_D = {f, g} - sum_ab {f, C_a} Minv[a][b] {C_b, g} on the full phase
+    space of a constraint system, every bracket by leibniz_bracket on the
+    canonical table and nothing eliminated: the textbook formula that the
+    pipeline's stage 4 reads off its constraint covectors."""
+    canonical = canonical_table(cs)
+    out = leibniz_bracket(f, g, canonical)
+    fc = [leibniz_bracket(f, C, canonical) for C in cs.constraints]
+    cg = [leibniz_bracket(C, g, canonical) for C in cs.constraints]
+    for a, fa in enumerate(fc):
+        for b, gb in enumerate(cg):
+            out = out - (fa * gb).scale(cs.Minv[a][b])
+    return out
 
 
 def jacobi_defect(table, a: JetVar, b: JetVar, c: JetVar) -> DiffPoly:

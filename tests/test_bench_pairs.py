@@ -4,6 +4,8 @@ import importlib.util
 import json
 from pathlib import Path
 
+import pytest
+
 TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 _spec = importlib.util.spec_from_file_location("bench_pairs", TOOL)
 bench_pairs = importlib.util.module_from_spec(_spec)
@@ -50,3 +52,16 @@ def test_minimum_speed_samples_per_command(tmp_path):
     rec = bench_pairs.summarise(parent, change, BETTER)
     assert rec["parent"]["min_speed_samples"] == {"gen-v": 2, "charges": 3}
     assert rec["change"]["min_speed_samples"] == {"gen-v": 1, "charges": 2}
+
+
+def test_pytest_counts_from_the_closing_summary_line():
+    ok = ("....................................................... [ 98%]\n"
+          "...                                                     [100%]\n"
+          "502 passed, 14 deselected in 22.60s\n")
+    assert bench_pairs.pytest_counts(ok) == {"passed": 502, "deselected": 14}
+    bad = ("FAILED tests/test_brackets.py::test_level2_time_pipeline_printed - Attri...\n"
+           "2 failed, 500 passed, 14 deselected, 3 warnings in 75.12s (0:01:15)\n")
+    assert bench_pairs.pytest_counts(bad) == {"failed": 2, "passed": 500, "deselected": 14,
+                                              "warnings": 3}
+    with pytest.raises(ValueError, match="no pytest summary"):
+        bench_pairs.pytest_counts("ImportError while loading conftest\n")

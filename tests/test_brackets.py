@@ -20,7 +20,7 @@ from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_norm
 from nlsdual.hierarchy import build_u, conserved_density, evolution_rules, generate_partner
 from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, nls_hamiltonian_density,
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
-                     full_euler, is_antisymmetric, is_balanced, jacobi_defect,
+                     full_euler, is_balanced, jacobi_defect, canonical_table, dirac_bracket,
                      multipliers_from_euler_lagrange, byparts_normal_form_stepwise,
                      invert_coeff_matrix_per_column, verify_rmatrix_by_difference)
 import sympy_oracle as orc
@@ -55,6 +55,18 @@ def test_bracket_generators():
     assert leibniz_bracket(v(pj()), v(qj()), S) == DiffPoly.const(I)
     T3 = table_T(3)
     assert leibniz_bracket(v(pj(1)), v(qj(1)), T3) == DiffPoly.const(I)
+
+
+def test_table_refuses_a_disagreeing_mirror_pair_and_a_diagonal_entry():
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        BracketTable([pj(), qj()], {(pj(), qj()): DiffPoly.const(I), (qj(), pj()): DiffPoly.const(I)})
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        BracketTable([pj(), qj()], {(pj(), qj()): DiffPoly.const(I), (qj(), pj()): Z})
+    with pytest.raises(ValueError, match="not antisymmetric"):
+        BracketTable([pj(), qj()], {(pj(), pj()): DiffPoly.const(1)})
+    # an agreeing mirror pair is one entry
+    T = BracketTable([pj(), qj()], {(pj(), qj()): DiffPoly.const(I), (qj(), pj()): DiffPoly.const(-I)})
+    assert T.entries == _S_by_hand().entries
 
 
 def test_bracket_leibniz_example():
@@ -94,7 +106,6 @@ def test_bracket_is_derivation():
 
 
 def _check_table_properties(table, n_random=100, seed=17):
-    assert is_antisymmetric(table)
     coords = list(table.coords)
     for a in coords:
         for b in coords:
@@ -420,42 +431,55 @@ def test_level2_time_pipeline_printed():
     # the Dirac table below)
     assert cs.M[0][1] == I
     assert cs.M[1][0] == -I
-    full = cs.dirac_full
     P1, P2 = cs.momenta
     f1, f2 = cs.coords
-    assert full.entry(f1, f2) == DiffPoly.const(I)
-    assert full.entry(P1, f1) == DiffPoly.const(Coeff.make(Fraction(1, 2)))
-    assert full.entry(P2, f2) == DiffPoly.const(Coeff.make(Fraction(1, 2)))
-    assert full.entry(P1, f2).is_zero()
-    assert full.entry(P1, P2) == DiffPoly.const(cf(0, Fraction(-1, 4)))
+
+    def D(a, b):
+        return dirac_bracket(cs, v(a), v(b))
+
+    assert D(f1, f2) == DiffPoly.const(I)
+    assert D(P1, f1) == DiffPoly.const(Coeff.make(Fraction(1, 2)))
+    assert D(P2, f2) == DiffPoly.const(Coeff.make(Fraction(1, 2)))
+    assert D(P1, f2).is_zero()
+    assert D(P1, P2) == DiffPoly.const(cf(0, Fraction(-1, 4)))
     assert res.hamiltonian_density == nls_hamiltonian_density()
-
-
-def _canonical(cs):
-    return BracketTable(list(cs.coords) + list(cs.momenta),
-                        {(m, c): DiffPoly.const(1) for m, c in zip(cs.momenta, cs.coords)},
-                        label="canonical")
 
 
 def _assert_constraints_dirac_commute(res):
     cs = res.constraints
-    canonical = _canonical(cs)
     # {C_j, g}_D = 0 for every phase-space coordinate g
     for C in cs.constraints:
         for g in list(cs.coords) + list(cs.momenta):
-            out = leibniz_bracket(C, DiffPoly.var(g), canonical)
-            for a in range(len(cs.constraints)):
-                fa = leibniz_bracket(C, cs.constraints[a], canonical)
-                for b in range(len(cs.constraints)):
-                    cb = leibniz_bracket(cs.constraints[b], DiffPoly.var(g), canonical)
-                    out = out - (fa * cb).scale(cs.Minv[a][b])
-            assert out.is_zero()
+            assert dirac_bracket(cs, C, DiffPoly.var(g)).is_zero()
 
 
 @pytest.mark.parametrize("level,direction", [(2, "time"), (3, "space"), (4, "space"), (5, "space")],
                          ids=["L2-time", "L3-space", "L4-space", "L5-space"])
 def test_constraints_dirac_commute(level, direction):
     _assert_constraints_dirac_commute(dirac_pipeline(build_level_lagrangian(level), direction))
+
+
+@pytest.mark.parametrize("level,direction", [(2, "time"), (3, "space"), (4, "space"), (5, "space")],
+                         ids=["L2-time", "L3-space", "L4-space", "L5-space"])
+def test_stage4_table_is_the_dirac_bracket_on_the_surviving_coordinates(level, direction):
+    # stage 4 brackets only the coordinates that no constraint eliminates;
+    # each entry is the full-phase-space Dirac bracket of the textbook
+    # formula with the eliminations substituted
+    res = dirac_pipeline(build_level_lagrangian(level), direction)
+    cs = res.constraints
+    canonical = canonical_table(cs)
+    covs = [B._covector(B._gradient(C, canonical), canonical) for C in cs.constraints]
+    elim = B._elimination_map(list(cs.constraints))
+    phase = list(cs.coords) + list(cs.momenta)
+    table = B._dirac_table(phase, covs, canonical, cs.Minv, elim, "stage 4")
+    surviving = [c for c in phase if c not in elim]
+    assert list(table.coords) == surviving
+    for i, a in enumerate(surviving):
+        for b in surviving[i + 1:]:
+            assert table.entry(a, b) == dirac_bracket(cs, v(a), v(b))._replace_jets(elim), (a, b)
+    if direction == "time":
+        # the time direction returns stage 4's table itself
+        assert table.coords == res.table.coords and table.entries == res.table.entries
 
 
 @pytest.mark.parametrize("level,direction", [(2, "time")] + [(n, "space") for n in range(3, 9)],
@@ -482,7 +506,7 @@ def test_time_multipliers_solve_the_consistency_conditions(level):
     cs = res.constraints
     assert any(not a.is_zero() for a in cs.multipliers)
     for j, C in enumerate(cs.constraints):
-        lhs = integral_bracket(res.hamiltonian_density, C, _canonical(cs), "x")
+        lhs = integral_bracket(res.hamiltonian_density, C, canonical_table(cs), "x")
         lhs = lhs + DiffPoly.sum(a.scale(cs.M[k][j]) for k, a in enumerate(cs.multipliers))
         assert lhs.is_zero(), j
 

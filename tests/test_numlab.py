@@ -254,7 +254,7 @@ def test_traces_and_determinant_errors_against_numpy():
     # LAPACK's determinant to round-off
     rng = np.random.default_rng(5)
     m = rng.standard_normal((6, 2, 2)) + 1j * rng.standard_normal((6, 2, 2))
-    s = N.MonodromySample(list(range(6)), m, "along_x")
+    s = N.MonodromySample(m)
     assert np.array_equal(s.traces(), np.array([np.trace(x) for x in m]))
     want = np.array([abs(np.linalg.det(x) - 1.0) for x in m])
     assert np.allclose(s.det_errors(), want, rtol=0, atol=1e-14)

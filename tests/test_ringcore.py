@@ -234,6 +234,31 @@ def test_substitute_cyclic_rejected():
     rules = {pj(): v(pj(1)), pj(1): v(pj())}
     with pytest.raises(ValueError):
         v(pj()).substitute(rules)
+    a, b = JetVar("a", 0), JetVar("b", 0)
+    with pytest.raises(ValueError, match="cyclic"):
+        v(a).substitute({a: v(b), b: v(a)})
+    # psi_x is a prolongation of psi, so psi -> psi_x never settles
+    with pytest.raises(ValueError, match="cyclic"):
+        v(pj()).substitute({pj(): v(pj(1))})
+
+
+def test_substitute_chain_of_three_rules_settles_prolonged():
+    a, b, c, d = (JetVar(f, 0) for f in ("a", "b", "c", "d"))
+    rules = {a: v(JetVar("b", 1)), b: v(JetVar("c", 1), 2), c: mono([d, d])}
+    # a_x -> b_xx -> 2 c_xxx -> 2 d_xxx(d^2): three replacements and the check
+    assert v(JetVar("a", 1)).substitute(rules) == mono([d, d], 2).d_x().d_x().d_x()
+
+
+def test_substitute_high_t_jets_reenter_their_own_rule():
+    # the prolonged rule for psi_t2t2 holds psi_t2 again, so psi_t2^k takes k
+    # replacements and the check under the two level-2 rules: the number of
+    # passes grows with the input, not with the rule set
+    from nlsdual.hierarchy import evolution_rules
+    rules = evolution_rules(2)
+    want = rules[pj(0, [(2, 1)])]
+    for k in range(1, 6):
+        assert v(pj(0, [(2, k)])).substitute(rules) == want, k
+        want = want.d_t(2).substitute(rules)
 
 
 def test_substitute_power():

@@ -17,9 +17,11 @@ that performance changes have been measured with; it is half the benchmark's
 For each side and workload the file holds every end-to-end metric's values,
 median, quartiles, IQR and the pairs it won; ops and failed; for
 ``cli-reports`` each command's minimum speed-sample count over all passes;
-and the provenance of the runs (commit, ``src`` sha256, Python, numpy,
-nproc).  A run that ``perfbench/run.py`` aborts is listed with its error
-and run again with the same seed, at most twice.
+the provenance of the runs (commit, ``src`` sha256, Python, numpy,
+nproc); and the tier-1 wall time and pass counts of one ``pytest -q`` in the
+side's fresh tree with ``PYTHONPATH=src``, run once per side before the
+pairs.  A run that ``perfbench/run.py`` aborts is listed with its error and
+run again with the same seed, at most twice.
 """
 
 from __future__ import annotations
@@ -27,11 +29,13 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import shutil
 import statistics
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -70,6 +74,26 @@ def run_one(tree: Path, workload: str, seed: int) -> Path:
     if proc.returncode:
         raise RuntimeError(f"exit {proc.returncode}: {proc.stderr.strip()[-500:]}")
     return tree / ".perfbench_out" / f"result-{workload}-seed{seed}-trace0.json"
+
+
+def pytest_counts(output: str) -> dict:
+    """The outcome counts of pytest's closing summary line, such as
+    ``502 passed, 14 deselected in 22.60s``, as {"passed": 502, ...}."""
+    lines = [ln for ln in output.splitlines() if re.search(r" in [\d.]+s\b", ln)]
+    if not lines:
+        raise ValueError("no pytest summary line in the output")
+    return {word: int(n) for n, word in re.findall(r"(\d+) ([a-z]+)", lines[-1].split(" in ")[0])}
+
+
+def run_tier1(tree: Path) -> dict:
+    """One ``pytest -q`` of the tree's tier-1 suite: wall time, exit code and
+    outcome counts."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src")
+    t0 = time.perf_counter()
+    proc = subprocess.run([sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider"],
+                          cwd=tree, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - t0
+    return {"wall_s": round(wall, 2), "exit": proc.returncode, **pytest_counts(proc.stdout)}
 
 
 def _quartiles(values: list) -> tuple:
@@ -133,6 +157,10 @@ def main(argv=None) -> int:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         archive(commits["parent"], trees["parent"])
         archive(commits["change"].rsplit(" ", 1)[1], trees["change"])
+        tier1 = {}
+        for side in SIDES:
+            print(f"tier-1 {side}", file=sys.stderr)
+            tier1[side] = run_tier1(trees[side])
         files = {w: {side: [] for side in SIDES} for w in workloads}
         # a run that the harness itself aborts is kept in the record and run again, at most twice
         aborted = []
@@ -159,7 +187,7 @@ def main(argv=None) -> int:
                                "env": {"PYTHONDONTWRITEBYTECODE": "1"},
                                "aborted_runs": aborted}}
         for side in SIDES:
-            record[side] = {"commit": commits[side],
+            record[side] = {"commit": commits[side], "tier1": tier1[side],
                             "workloads": {w: summaries[w][side] for w in workloads}}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
