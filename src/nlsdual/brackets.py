@@ -609,6 +609,17 @@ def _dirac_table(phase: list[JetVar], covs, canonical: BracketTable,
     Dirac bracket the constraints hold strongly, so only the pairs of
     coordinates that are not eliminated are bracketed, and the eliminations
     are substituted into each entry.
+
+    For a Lagrangian in psi and psibar that substitution changes no entry.
+    Each constraint is P_i - a_i, where a_i, the coefficient of the i-th
+    velocity, holds no momentum, so each K[v][a] is a function of the
+    fields and the multipliers.  A multiplier m enters the reduced
+    Lagrangian only as m (c - c'_x), so the a_i are linear in it with
+    constant coefficients, and no K[v][a] of a surviving v holds one.  Each
+    constraint holds its own momentum with coefficient 1, so stage 3
+    eliminates momenta and multipliers only, never a field.  No entry can
+    therefore hold an eliminated coordinate.  The substitution is kept as
+    the definition of the reduced bracket, for inputs outside that class.
     """
     reduced = [v for v in phase if v not in elim]
     K = {v: [cov.get(v, _Z) for cov in covs] for v in reduced}

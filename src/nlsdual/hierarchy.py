@@ -336,10 +336,13 @@ def solve_evolution(X: LaxMatrix, Y: LaxMatrix) -> dict[JetVar, DiffPoly]:
 def evolution_rules(n: int) -> dict[JetVar, DiffPoly]:
     """Level-n flow of the base fields, from the pair (U, V^(n)).
 
-    V^(n) reads W^(1)..W^(n) only, so W is solved to that order and passed in.
+    V^(n) is the last matrix of the generating-function expansion to order
+    n + 1, which reads W^(1)..W^(n) only, so W is solved to that order and
+    passed in; that route builds V^(n) without the Neumann series of the
+    recursion, and the two routes are equal matrices (the tests check it).
     """
     U = build_u()
-    V = generate_partner(U, +1, n, solve_W(U, max(n, 1)))
+    V = generating_function_expand(U, +1, n + 1, solve_W(U, max(n, 1)))[n]
     return solve_evolution(U, V)
 
 

@@ -92,9 +92,6 @@ class LaxMatrix:
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
-    def entry_poly(self, i: int, j: int) -> dict[int, DiffPoly]:
-        return {p: e[2 * i + j] for p, e in self.coeffs.items() if not e[2 * i + j].is_zero()}
-
     def jets(self) -> set[JetVar]:
         out = set()
         for e in self.coeffs.values():
@@ -182,81 +179,12 @@ class LaxMatrix:
             "coeffs": {str(p): [x.to_json_obj() for x in e] for p, e in sorted(self.coeffs.items())},
         }
 
-    def to_latex(self) -> str:
-        rows = []
-        for i in range(2):
-            cells = []
-            for j in range(2):
-                cells.append(_entry_latex(self.entry_poly(i, j)))
-            rows.append(" & ".join(cells))
-        return "\\begin{pmatrix}\n" + " \\\\\n".join(rows) + "\n\\end{pmatrix}"
-
     def __repr__(self) -> str:
         lines = [f"LaxMatrix(xi={self.xi}, level={self.level})"]
         for p in self.powers():
             e = self.coeffs[p]
             lines.append(f"  lam^{p}: [[{e[0]!r}, {e[1]!r}], [{e[2]!r}, {e[3]!r}]]")
         return "\n".join(lines)
-
-
-# -- LaTeX helpers -------------------------------------------------------------
-
-
-def _coeff_latex(c: Coeff) -> str:
-    parts = []
-    for pw, re, im in c.terms:
-        if im == 0:
-            num = _frac_latex(re)
-        elif re == 0:
-            num = ("-" if im < 0 else "") + ("i" if abs(im) == 1 else f"{_frac_latex(abs(im))} i")
-        else:
-            num = f"({_frac_latex(re)} {'+' if im > 0 else '-'} {_frac_latex(abs(im))} i)"
-        if pw:
-            kp = "\\kappa" if pw == 2 else ("\\sqrt{\\kappa}" if pw == 1 else f"\\kappa^{{{Fraction(pw,2)}}}")
-            num = kp if num == "1" else ("-" + kp if num == "-1" else f"{num} {kp}")
-        parts.append(num)
-    return " + ".join(parts) if parts else "0"
-
-
-def _frac_latex(f: Fraction) -> str:
-    if f.denominator == 1:
-        return str(f.numerator)
-    sign = "-" if f < 0 else ""
-    return f"{sign}\\tfrac{{{abs(f.numerator)}}}{{{f.denominator}}}"
-
-
-def _jet_latex(v: JetVar) -> str:
-    base = {"psi": "\\psi", "psibar": "\\bar\\psi"}.get(v.field, v.field)
-    sub = "x" * v.dx + "".join(f"t_{n}" * k for n, k in v.dt)
-    return f"{base}_{{{sub}}}" if sub else base
-
-
-def _entry_latex(poly_by_pow: Mapping[int, DiffPoly]) -> str:
-    parts = []
-    for p in sorted(poly_by_pow, reverse=True):
-        lam = "" if p == 0 else ("\\lambda" if p == 1 else f"\\lambda^{{{p}}}")
-        poly = poly_by_pow[p]
-        for mono in sorted(poly.terms, key=lambda m: (len(m), tuple(v.sort_key() for v in m))):
-            c = poly.terms[mono]
-            factors = " ".join(_jet_latex(v) for v in mono)
-            cs = _coeff_latex(c)
-            if cs == "1" and (factors or lam):
-                cs = ""
-            elif cs == "-1" and (factors or lam):
-                cs = "-"
-            term = " ".join(x for x in (cs, lam, factors) if x)
-            if term.startswith("- "):
-                term = "-" + term[2:]
-            parts.append(term)
-    out = ""
-    for term in parts:
-        if not out:
-            out = term
-        elif term.startswith("-"):
-            out += " - " + term[1:]
-        else:
-            out += " + " + term
-    return out or "0"
 
 
 # ---------------------------------------------------------------------------

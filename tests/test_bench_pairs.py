@@ -65,3 +65,33 @@ def test_pytest_counts_from_the_closing_summary_line():
                                               "warnings": 3}
     with pytest.raises(ValueError, match="no pytest summary"):
         bench_pairs.pytest_counts("ImportError while loading conftest\n")
+
+
+def test_nlsdual_calls_per_function_without_line_numbers(tmp_path):
+    package = tmp_path / "src" / "nlsdual"
+    entries = [
+        [str(package / "ringcore.py"), 10, "__init__", 5],
+        [str(package / "ringcore.py"), 90, "__init__", 2],      # another class's, summed
+        [str(package / "hierarchy.py"), 95, "solve_W", 1],
+        [str(tmp_path / "src" / "other" / "ringcore.py"), 10, "__init__", 7],
+        [str(tmp_path / "json" / "encoder.py"), 200, "encode", 1],
+        ["~", 0, "<built-in method builtins.len>", 40],
+    ]
+    assert bench_pairs.nlsdual_calls(entries, package) == {"hierarchy.solve_W": 1,
+                                                           "ringcore.__init__": 7}
+
+
+def _guard(calls, collections):
+    return {label: {"argv": [label], "calls": dict(calls), "gc_collections": list(collections)}
+            for label in bench_pairs.FAST_COMMANDS}
+
+
+def test_guards_match_on_calls_and_collections_separately():
+    parent = _guard({"ringcore.mul": 3}, [2, 0, 0])
+    assert bench_pairs.guards_match(parent, _guard({"ringcore.mul": 3}, [2, 0, 0])) == {
+        "calls": True, "gc_collections": True}
+    fewer = _guard({"ringcore.mul": 3}, [2, 0, 0])
+    fewer["verify-zc"]["calls"]["ringcore.mul"] = 2
+    assert bench_pairs.guards_match(parent, fewer) == {"calls": False, "gc_collections": True}
+    assert bench_pairs.guards_match(parent, _guard({"ringcore.mul": 3}, [1, 0, 0])) == {
+        "calls": True, "gc_collections": False}

@@ -350,7 +350,8 @@ def test_importing_the_cli_loads_only_the_exact_core():
     assert proc.returncode == 0, proc.stderr
     loaded = set(json.loads(proc.stdout))
     assert {"nlsdual.ringcore", "nlsdual.laxalg", "nlsdual.hierarchy"} <= loaded
-    unwanted = {"numpy", "nlsdual.brackets", "nlsdual.numlab", "dataclasses", "inspect"}
+    unwanted = {"numpy", "nlsdual.brackets", "nlsdual.numlab", "nlsdual.sim", "nlsdual.latex",
+                "dataclasses", "inspect"}
     assert not loaded & unwanted
 
 
@@ -414,6 +415,29 @@ def test_only_sim_defaults_openblas_to_one_thread(preset, first, want):
     numpy_first = first == "numpy-first"
     assert results == ([[argv[0], 0, preset_value, numpy_first] for argv in _EXACT_RUNS]
                        + [["sim", 0, want, True]])
+
+
+_LOADED_ON_USE = """
+import contextlib, io, json, sys
+from nlsdual.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(sys.argv[1:])
+print(json.dumps([code, sorted({"nlsdual.sim", "nlsdual.latex"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    (_SIM_SMALL, ["nlsdual.sim"]),
+    (["gen-v", "--level", "3", "--format", "latex"], ["nlsdual.latex"]),
+    (["gen-dual", "--base", "2", "--level", "3", "--format", "latex"], ["nlsdual.latex"]),
+    (["gen-v", "--level", "3", "--format", "json"], []),
+    (["gen-dual", "--base", "2", "--level", "3", "--format", "json"], []),
+], ids=["sim", "gen-v-latex", "gen-dual-latex", "gen-v-json", "gen-dual-json"])
+def test_sim_and_latex_modules_load_only_for_their_command(argv, loaded):
+    # each is compiled by the one command or format that runs it
+    proc = _python("-c", _LOADED_ON_USE, *argv)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [0, loaded]
 
 
 def test_sim_transfer_error_names_where_it_failed(capsys):

@@ -8,6 +8,7 @@ import pytest
 
 from nlsdual.ringcore import KAPPA, SQRT_KAPPA, Coeff, DiffPoly
 from nlsdual.laxalg import LaxMatrix, TensorMatrix, divided_difference, rmatrix_bracket_rhs
+from nlsdual.latex import to_latex
 from nlsdual.hierarchy import (WSeries, build_u, generate_partner, generating_function_expand,
                                solve_W)
 from helpers import (pj, qj, v, cf, random_poly, embed1, embed2, field_matrix,
@@ -207,7 +208,7 @@ def test_rmatrix_rhs_rejects_laurent():
 
 def test_latex_and_json_emitters():
     U = build_u()
-    tex = U.to_latex()
+    tex = to_latex(U)
     assert tex.startswith("\\begin{pmatrix}") and "\\lambda" in tex and "\\psi" in tex
     obj = U.to_json_obj()
     assert set(obj) == {"xi", "level", "coeffs"}

@@ -18,10 +18,6 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# ROADMAP item 5 gives this its caller in src/: one W-series per matrix,
-# shared by its partners and generating function
-EXEMPT = {"hierarchy.generating_function_expand(W)"}
-
 _CONSTRUCTORS = ("__init__", "__new__")
 
 
@@ -96,8 +92,6 @@ def test_every_option_is_passed_outside_the_tests():
         if path.parent != ROOT / "src" / "nlsdual":
             continue
         for label, name, param, pos in _options(path.stem, tree):
-            if label in EXEMPT:
-                continue
             if not any(_passes(call, param, pos) for call in calls.get(name, [])):
                 unset.append(label)
     assert unset == [], "options that only the tests set: " + ", ".join(unset)

@@ -18,10 +18,19 @@ For each side and workload the file holds every end-to-end metric's values,
 median, quartiles, IQR and the pairs it won; ops and failed; for
 ``cli-reports`` each command's minimum speed-sample count over all passes;
 the provenance of the runs (commit, ``src`` sha256, Python, numpy,
-nproc); and the tier-1 wall time and pass counts of one ``pytest -q`` in the
+nproc); the tier-1 wall time and pass counts of one ``pytest -q`` in the
 side's fresh tree with ``PYTHONPATH=src``, run once per side before the
-pairs.  A run that ``perfbench/run.py`` aborts is listed with its error and
-run again with the same seed, at most twice.
+pairs; and the sampler guard, also taken once per side before the pairs.
+The guard runs ``cli.main`` of each of the four fast commands with its
+``CLI_RUNS`` arguments under cProfile, in a fresh process, and stores the
+calls of each function of ``src/nlsdual`` (line numbers dropped, so a
+function's key survives edits above it) and the garbage collections per
+generation during ``main``; the file says whether the two sides match.  The
+benchmark's speed sampler takes its first sample about 7 ms into a
+command, so a change that shortens these commands' ``main`` can leave a
+pass with no sample (ROADMAP item 1(a)).  A run that ``perfbench/run.py``
+aborts is listed with its error and run again with the same seed, at most
+twice.
 """
 
 from __future__ import annotations
@@ -44,6 +53,35 @@ SIDES = ("parent", "change")
 PROVENANCE = ("src_sha256", "python", "numpy", "nproc")
 SECONDS = 20
 FIRST_SEED = 9001
+FAST_COMMANDS = ("gen-v", "gen-dual", "charges", "verify-zc")
+
+# run in a side's tree: the labelled argv of the benchmark's CLI runs
+_CLI_RUNS = """
+import json, sys
+sys.path[:0] = ["src", "perfbench"]
+from workloads import CLI_RUNS
+print(json.dumps({label: argv for label, argv, _ in CLI_RUNS}))
+"""
+
+# run in a side's tree with the argv as arguments: cProfile's entries and the
+# collections per generation during cli.main, which only the standard library
+# and nlsdual.cli precede
+_PROFILE = """
+import contextlib, cProfile, gc, io, json, sys
+import nlsdual.cli
+collections = [0, 0, 0]
+def count(phase, info):
+    if phase == "start":
+        collections[info["generation"]] += 1
+profile = cProfile.Profile()
+gc.callbacks.append(count)
+with contextlib.redirect_stdout(io.StringIO()):
+    profile.runcall(nlsdual.cli.main, sys.argv[1:])
+gc.callbacks.remove(count)
+profile.create_stats()
+print(json.dumps({"entries": [[*key, nc] for key, (cc, nc, *_) in profile.stats.items()],
+                  "gc_collections": collections}))
+"""
 
 
 def _git(*args: str, env=None) -> str:
@@ -94,6 +132,44 @@ def run_tier1(tree: Path) -> dict:
                           cwd=tree, env=env, capture_output=True, text=True)
     wall = time.perf_counter() - t0
     return {"wall_s": round(wall, 2), "exit": proc.returncode, **pytest_counts(proc.stdout)}
+
+
+def nlsdual_calls(entries: list, package: Path) -> dict:
+    """Calls per function of ``package`` from cProfile entries [file, line,
+    function, calls], keyed "module.function"; functions of one name in one
+    module are summed."""
+    out: dict = {}
+    for filename, _, function, calls in entries:
+        path = Path(filename).resolve()
+        if path.parent == package:
+            key = f"{path.stem}.{function}"
+            out[key] = out.get(key, 0) + calls
+    return dict(sorted(out.items()))
+
+
+def sampler_guard(tree: Path) -> dict:
+    """For each fast command: its argv, its calls per nlsdual function and its
+    garbage collections per generation during ``cli.main``."""
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1", PYTHONPATH="src", PYTHONHASHSEED="0")
+
+    def child(*args):
+        return json.loads(subprocess.run([sys.executable, "-c", *args], cwd=tree, env=env,
+                                         capture_output=True, text=True, check=True).stdout)
+
+    argv = child(_CLI_RUNS)
+    out = {}
+    for label in FAST_COMMANDS:
+        prof = child(_PROFILE, *argv[label])
+        out[label] = {"argv": argv[label],
+                      "calls": nlsdual_calls(prof["entries"], tree.resolve() / "src" / "nlsdual"),
+                      "gc_collections": prof["gc_collections"]}
+    return out
+
+
+def guards_match(parent: dict, change: dict) -> dict:
+    """Whether the two sides' sampler guards agree, on calls and on collections."""
+    return {key: all(parent[c][key] == change[c][key] for c in FAST_COMMANDS)
+            for key in ("calls", "gc_collections")}
 
 
 def _quartiles(values: list) -> tuple:
@@ -157,10 +233,11 @@ def main(argv=None) -> int:
         trees = {"parent": tmp / "parent", "change": tmp / "change"}
         archive(commits["parent"], trees["parent"])
         archive(commits["change"].rsplit(" ", 1)[1], trees["change"])
-        tier1 = {}
+        tier1, guard = {}, {}
         for side in SIDES:
-            print(f"tier-1 {side}", file=sys.stderr)
+            print(f"tier-1 and sampler guard {side}", file=sys.stderr)
             tier1[side] = run_tier1(trees[side])
+            guard[side] = sampler_guard(trees[side])
         files = {w: {side: [] for side in SIDES} for w in workloads}
         # a run that the harness itself aborts is kept in the record and run again, at most twice
         aborted = []
@@ -185,9 +262,11 @@ def main(argv=None) -> int:
                                "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1],
                                "order": "parent first in even pairs, change first in odd",
                                "env": {"PYTHONDONTWRITEBYTECODE": "1"},
-                               "aborted_runs": aborted}}
+                               "aborted_runs": aborted},
+                  "sampler_guard_match": guards_match(guard["parent"], guard["change"])}
         for side in SIDES:
             record[side] = {"commit": commits[side], "tier1": tier1[side],
+                            "sampler_guard": guard[side],
                             "workloads": {w: summaries[w][side] for w in workloads}}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
