@@ -27,8 +27,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence
 
-from .ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, _accumulate,
-                       is_total_x_derivative)
+from .ringcore import Coeff, DiffPoly, JetVar, PSI, PSIBAR, _accumulate
 from . import hierarchy
 from .laxalg import LaxMatrix, TensorMatrix, rmatrix_bracket_rhs
 
@@ -310,7 +309,13 @@ def _depress(h: DiffPoly) -> dict:
 def _antisymmetrise(terms: dict) -> DiffPoly:
     """Replace the coefficients (cm, cc) of each conjugate monomial pair whose
     sum is a total x-derivative by (a, -a), a = (cm - cc)/2, which changes the
-    density by a multiple of that total derivative."""
+    density by a multiple of that total derivative.
+
+    The pair's sum p = m + conj(m) has no constant term and only x-jets, so
+    it is a total x-derivative exactly when its Euler derivatives in psi and
+    psibar both vanish (Olver, GTM 107, ch. 4).  Conjugation fixes p and
+    carries E_psi(p) to E_psibar(p), so E_psi(p) = 0 decides.
+    """
     out = dict(terms)
     done = set()
     for mono in sorted(terms, key=lambda m: tuple(v.sort_key() for v in m)):
@@ -321,7 +326,7 @@ def _antisymmetrise(terms: dict) -> DiffPoly:
             continue
         done.add(mono)
         done.add(conj)
-        if not is_total_x_derivative(DiffPoly.monomial(mono) + DiffPoly.monomial(conj)):
+        if (DiffPoly.monomial(mono) + DiffPoly.monomial(conj)).euler_along(PSI, "x"):
             continue
         a = (out[mono] - out.get(conj, Coeff.zero())) * Coeff.make(_HALF)
         out[mono] = a
@@ -426,13 +431,12 @@ def ostrogradski_reduce(L: DiffPoly) -> Reduction:
 
 class ConstraintSystem:
     __slots__ = ("coords", "momenta", "lagrangian", "constraints", "constraint_names", "M",
-                 "Minv", "multipliers", "second_class")
+                 "Minv", "multipliers")
 
     def __init__(self, coords: tuple[JetVar, ...], momenta: tuple[JetVar, ...],
                  lagrangian: DiffPoly, constraints: tuple[DiffPoly, ...],
                  constraint_names: tuple[str, ...], M: tuple[tuple[Coeff, ...], ...],
-                 Minv: tuple[tuple[Coeff, ...], ...], multipliers: tuple[DiffPoly, ...],
-                 second_class: bool):
+                 Minv: tuple[tuple[Coeff, ...], ...], multipliers: tuple[DiffPoly, ...]):
         self.coords = coords                # coordinates, in declaration order
         self.momenta = momenta              # conjugate momenta, same order
         self.lagrangian = lagrangian
@@ -441,7 +445,6 @@ class ConstraintSystem:
         self.M = M                          # {C_j, C_k}, constant entries
         self.Minv = Minv
         self.multipliers = multipliers      # fixed by the consistency conditions
-        self.second_class = second_class
 
 
 class LegendreResult:
@@ -732,9 +735,7 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     cs = ConstraintSystem(
         coords=tuple(coords), momenta=tuple(momenta), lagrangian=Lwork,
         constraints=tuple(constraints), constraint_names=tuple(names),
-        M=tuple(map(tuple, M)), Minv=tuple(map(tuple, Minv)),
-        multipliers=tuple(alphas), second_class=True,
-    )
+        M=tuple(map(tuple, M)), Minv=tuple(map(tuple, Minv)), multipliers=tuple(alphas))
     if direction == "time":
         return LegendreResult(xi, level, Hred, reduced, cs)
     table, Hdens = _space_jet_translation(Hred, reduced, level, w)

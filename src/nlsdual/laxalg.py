@@ -86,9 +86,6 @@ class LaxMatrix:
     def lam_coeff(self, p: int) -> Entry2:
         return self.coeffs.get(p, _zeros2())
 
-    def powers(self) -> list[int]:
-        return sorted(self.coeffs)
-
     def degree(self) -> int:
         return max(self.coeffs, default=0)
 
@@ -181,8 +178,7 @@ class LaxMatrix:
 
     def __repr__(self) -> str:
         lines = [f"LaxMatrix(xi={self.xi}, level={self.level})"]
-        for p in self.powers():
-            e = self.coeffs[p]
+        for p, e in sorted(self.coeffs.items()):
             lines.append(f"  lam^{p}: [[{e[0]!r}, {e[1]!r}], [{e[2]!r}, {e[3]!r}]]")
         return "\n".join(lines)
 

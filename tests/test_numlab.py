@@ -312,25 +312,34 @@ def test_time_transfer_matches_per_record_reference_on_generic_field():
         assert np.max(np.abs(got - want)) < 1e-10 * max(1.0, np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("order", [1, 2, 3])
-def test_station_derivatives_match_the_matrix_vector_product(order):
-    # per-row dots against the one matrix-vector product they replace.  The
-    # k-th derivative filter grows like (n/2)^k and its sums cancel, so the
-    # error is measured against max |psi| * sum |filter|, the largest sum of
-    # |summands| a row can have, rather than against the result
-    traj = N.evolve_nls(_generic_field(), (0.0, 0.01), 50, n_snapshots=2, record_fine=True)
-    fields, L = traj.fine_fields, traj.half_length
+def _assert_station_jets_near_the_matmul(jets, fields, half_length, stations, order):
+    """``jets`` (stations, order + 1, rows) against one matrix-vector product
+    per station and order.  The k-th derivative filter grows like (n/2)^k
+    and its sums cancel, so the error is measured against max |psi| *
+    sum |filter|, the largest sum of |summands| a row can have, rather than
+    against the result."""
     n = fields.shape[1]
     impulse = np.zeros(n, dtype=complex)
     impulse[0] = 1.0
-    scale = [np.max(np.abs(fields)) * np.sum(np.abs(N.spectral_derivative(impulse, L, k)))
+    scale = [np.max(np.abs(fields)) * np.sum(np.abs(N.spectral_derivative(impulse, half_length, k)))
              for k in range(order + 1)]
-    for station in (0, 5, n - 1):
-        got = N._station_derivatives(fields, station, N._station_filters(n, L, [station], order)[0])
-        want = station_derivatives_matmul(fields, L, station, order)
-        assert len(got) == len(want) == order + 1
+    assert jets.shape == (len(stations), order + 1, fields.shape[0])
+    for got, station in zip(jets, stations):
+        want = station_derivatives_matmul(fields, half_length, station, order)
+        assert len(want) == order + 1
         for g, w, sc in zip(got, want, scale):
             assert np.max(np.abs(g - w)) <= 1e-12 * sc
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_station_derivatives_match_the_matrix_vector_product(order):
+    # the kernel's per-row dots, for three stations at once, against the one
+    # matrix-vector product per station and order that they replace
+    traj = N.evolve_nls(_generic_field(), (0.0, 0.01), 50, n_snapshots=2, record_fine=True)
+    fields, L = traj.fine_fields, traj.half_length
+    stations = (0, 5, fields.shape[1] - 1)
+    jets = N._station_jets(fields, stations, N._station_filters(fields.shape[1], L, stations, order))
+    _assert_station_jets_near_the_matmul(jets, fields, L, stations, order)
 
 
 @pytest.mark.parametrize("station", [-3, -1, 128, 200])
@@ -422,16 +431,15 @@ def _streamed_and_recorded(state, t_end, steps, stations, order):
 
 
 def _assert_streams_the_record(streamed, recorded, order):
-    """Streamed jets, times and snapshots bit for bit those of the record."""
-    fields = recorded.fine_fields
-    filters = N._station_filters(fields.shape[1], recorded.half_length, streamed.stations, order)
+    """Streamed jets, times and snapshots bit for bit those of the record, and
+    the jets near the matrix-vector product."""
+    fields, L, stations = recorded.fine_fields, recorded.half_length, streamed.stations
+    filters = N._station_filters(fields.shape[1], L, stations, order)
     assert streamed.fine_fields is None
-    assert streamed.station_jets.shape == (len(streamed.stations), order + 1, fields.shape[0])
     assert np.array_equal(streamed.fine_times, recorded.fine_times)
     assert all(np.array_equal(a, b) for a, b in zip(streamed.snapshots, recorded.snapshots))
-    for jets, station, filt in zip(streamed.station_jets, streamed.stations, filters):
-        want = N._station_derivatives(fields, station, filt)
-        assert all(np.array_equal(j, w) for j, w in zip(jets, want))
+    assert np.array_equal(streamed.station_jets, N._station_jets(fields, stations, filters))
+    _assert_station_jets_near_the_matmul(streamed.station_jets, fields, L, stations, order)
 
 
 # steps + 1 rows through a ring of _RING_ROWS (64): one row, a last flush one
@@ -524,8 +532,8 @@ def test_transfer_on_lax_data_is_bitwise_the_stacked_reference(direction):
     else:
         M, data = generate_partner(U, 1, 2), traj
         fields = traj.fine_fields
-        derivs = N._station_derivatives(
-            fields, 5, N._station_filters(fields.shape[1], traj.half_length, [5], 1)[0])
+        derivs = N._station_jets(
+            fields, [5], N._station_filters(fields.shape[1], traj.half_length, [5], 1))[0]
         h = 2 * (traj.fine_times[1] - traj.fine_times[0])
     assert any(x.is_zero() for e in M.coeffs.values() for x in e)
     got = N.transfer_matrix(M, data, lams, direction, station=5).matrices

@@ -9,10 +9,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nlsdual.ringcore import (Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA,
-                              is_total_x_derivative)
+from nlsdual.ringcore import Coeff, DiffPoly, JetVar, PSI, PSIBAR, SQRT_KAPPA
 from helpers import (pj, qj, v, mono, cf, random_poly, random_x_poly, x_block, y_block,
-                     nls_hamiltonian_density, poly_from_json)
+                     nls_hamiltonian_density, poly_from_json, is_total_x_derivative)
 
 
 def _polys(seed):
@@ -188,10 +187,10 @@ def test_scaling_dimension_grading(seed):
 # --- Euler operator ----------------------------------------------------------
 
 def test_euler_examples():
-    assert mono([pj(), qj()]).d_x().euler("psi") == DiffPoly.zero()
+    assert mono([pj(), qj()]).d_x().euler_along(PSI, "x") == DiffPoly.zero()
     quartic = mono([pj(), pj(), qj(), qj()], cf(1, 0, 2))
-    assert quartic.euler("psi") == mono([pj(), qj(), qj()], cf(2, 0, 2))
-    assert mono([pj(1), qj(1)]).euler("psibar") == -v(pj(2))
+    assert quartic.euler_along(PSI, "x") == mono([pj(), qj(), qj()], cf(2, 0, 2))
+    assert mono([pj(1), qj(1)]).euler_along(PSIBAR, "x") == -v(pj(2))
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,14 +199,9 @@ def test_euler_kills_total_derivatives(seed):
     rng = random.Random(seed)
     a = random_x_poly(rng)
     d = a.d_x()
-    assert d.euler("psi") == DiffPoly.zero()
-    assert d.euler("psibar") == DiffPoly.zero()
+    assert d.euler_along(PSI, "x") == DiffPoly.zero()
+    assert d.euler_along(PSIBAR, "x") == DiffPoly.zero()
     assert is_total_x_derivative(d)
-
-
-def test_euler_rejects_t_jets():
-    with pytest.raises(ValueError):
-        v(pj(0, [(2, 1)])).euler("psi")
 
 
 # --- substitution ------------------------------------------------------------
@@ -347,7 +341,6 @@ def test_traced_methods_stay_wrappable():
 
 def test_euler_along_has_no_order_limit():
     h = mono([qj(), pj(13)])
-    assert h.euler("psi") == -v(qj(13))
-    assert h.euler_along(PSI, "x") == h.euler("psi")
+    assert h.euler_along(PSI, "x") == -v(qj(13))
     t = mono([qj(), pj(0, [(2, 14)])])
     assert t.euler_along(PSI, ("t", 2)) == v(qj(0, [(2, 14)]))
