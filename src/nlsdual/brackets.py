@@ -610,19 +610,18 @@ def _dirac_table(phase: list[JetVar], covs, canonical: BracketTable,
     -covs[a][v] and {C_b, u} = covs[b][u]; the signs cancel against the
     leading minus, so K[v][a] = covs[a][v] is read off unnegated.  Under the
     Dirac bracket the constraints hold strongly, so only the pairs of
-    coordinates that are not eliminated are bracketed, and the eliminations
-    are substituted into each entry.
+    coordinates that are not eliminated are bracketed.
 
-    For a Lagrangian in psi and psibar that substitution changes no entry.
-    Each constraint is P_i - a_i, where a_i, the coefficient of the i-th
+    No entry holds an eliminated coordinate, so none is substituted.  Each
+    constraint is P_i - a_i, where a_i, the coefficient of the i-th
     velocity, holds no momentum, so each K[v][a] is a function of the
     fields and the multipliers.  A multiplier m enters the reduced
     Lagrangian only as m (c - c'_x), so the a_i are linear in it with
     constant coefficients, and no K[v][a] of a surviving v holds one.  Each
     constraint holds its own momentum with coefficient 1, so stage 3
-    eliminates momenta and multipliers only, never a field.  No entry can
-    therefore hold an eliminated coordinate.  The substitution is kept as
-    the definition of the reduced bracket, for inputs outside that class.
+    eliminates momenta and multipliers only, never a field.  A field other
+    than psi and psibar raises: the space reduction refuses it, and the
+    time direction finds an undeclared jet.
     """
     reduced = [v for v in phase if v not in elim]
     K = {v: [cov.get(v, _Z) for cov in covs] for v in reduced}
@@ -633,20 +632,18 @@ def _dirac_table(phase: list[JetVar], covs, canonical: BracketTable,
             Kv, Ku = K[v], K[u]
             entries[(v, u)] = DiffPoly.sum(
                 [canonical.entry(v, u)]
-                + [(Kv[a] * Ku[b]).scale(c) for a, b, c in minv if Kv[a] and Ku[b]]
-            )._replace_jets(elim)
+                + [(Kv[a] * Ku[b]).scale(c) for a, b, c in minv if Kv[a] and Ku[b]])
     return BracketTable(reduced, entries, label=label)
 
 
-def _multipliers(Hred: DiffPoly, constraints: list[DiffPoly], canonical: BracketTable, w,
-                 elim: Mapping[JetVar, DiffPoly], Minv) -> list[DiffPoly]:
+def _multipliers(Hred: DiffPoly, grads, canonical: BracketTable, w, Minv) -> list[DiffPoly]:
     """Stage 5: the alpha_k fixed by {H*, C_j} + sum_k alpha_k {C_k, C_j} = 0,
-    that is alpha = -(M^-1)^T {H*, C}."""
+    that is alpha = -(M^-1)^T {H*, C}; {H*, C_j} contracts H*'s flows with
+    C_j's gradient, and by stage 4's argument holds no eliminated coordinate."""
     flows = _flows(Hred, canonical, w)
-    hc = [_bracket_by_flows(flows, C, canonical.coords, w)._replace_jets(elim) for C in constraints]
-    m = len(constraints)
-    return [-DiffPoly.sum(hc[j].scale(Minv[j][k]) for j in range(m) if Minv[j][k])
-            for k in range(m)]
+    hc = [_contract(flows, g) for g in grads]
+    return [-DiffPoly.sum(h.scale(row[k]) for h, row in zip(hc, Minv) if row[k])
+            for k in range(len(hc))]
 
 
 def _invert_jet_map(jet_map: Mapping[JetVar, DiffPoly], jets: list[JetVar], coords, w):
@@ -731,7 +728,7 @@ def dirac_pipeline(L: DiffPoly, direction: str) -> LegendreResult:
     reduced = _dirac_table(phase, covs, canonical, Minv, elim,
                            "S" if direction == "time" else "dirac-reduced")
     Hred = Hc._replace_jets(elim)
-    alphas = _multipliers(Hred, constraints, canonical, w, elim, Minv)
+    alphas = _multipliers(Hred, grads, canonical, w, Minv)
     cs = ConstraintSystem(
         coords=tuple(coords), momenta=tuple(momenta), lagrangian=Lwork,
         constraints=tuple(constraints), constraint_names=tuple(names),
@@ -752,7 +749,8 @@ def hamilton_check(result: LegendreResult, rules: Mapping[JetVar, DiffPoly]) -> 
 
     For the time direction the flow of each field must equal the level's
     evolution rule; for the space direction the flow of every jet coordinate,
-    with the evolution rules substituted, must equal its next x-jet.
+    with the evolution rules substituted, must equal its next x-jet.  No
+    table coordinate prolongs another, so each flow is read off ``flows``.
     """
     table = result.table
     space = result.direction == "x"
@@ -760,7 +758,7 @@ def hamilton_check(result: LegendreResult, rules: Mapping[JetVar, DiffPoly]) -> 
     flows = _flows(result.hamiltonian_density, table, w)
     checks = []
     for c in table.coords:
-        flow = _bracket_by_flows(flows, DiffPoly.var(c), table.coords, w)
+        flow = flows.get(c, _Z)
         if space:
             ok = (flow.substitute(rules) - DiffPoly.var(c.prolong_x()).substitute(rules)).is_zero()
         else:

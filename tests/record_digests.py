@@ -9,6 +9,9 @@ the sha256 of stdout for the README's command lines:
     T<n>, H<n>, rules<n>   the level-n space table, dual density and evolution
                            rules, n = 8..14
     V<n>                   the partner generate_partner(U, +1, n), n = 10..14
+    dirac/l<n>-<direction> the exact payload of ``dirac --lagrangian l<n>
+                           --direction <direction>`` (the report keys that
+                           the benchmark's cli-reports run digests), n = 2..7
     readme/<line>          each line of tests/readme_commands.txt
 
 Keys not yet in the file are added.  If a recorded key now digests to a
@@ -30,6 +33,7 @@ DIGESTS = TESTS / "digests.json"
 # the level sweep of test_level_sweep.py runs up to the last of these levels
 LEVELS = range(8, 15)
 PARTNERS = range(10, LEVELS.stop)
+DIRAC_REPORTS = [(n, d) for n in range(2, 8) for d in ("time", "space")]
 
 
 def merge(recorded: dict, computed: dict) -> dict:
@@ -39,6 +43,19 @@ def merge(recorded: dict, computed: dict) -> dict:
     if changed:
         raise ValueError(f"recorded digests would change: {changed}")
     return dict(sorted({**computed, **recorded}.items()))
+
+
+def dirac_payload(n: int, direction: str) -> dict:
+    """The exact payload of the ``dirac`` report of level n in the direction."""
+    from helpers import perfbench_workloads
+    from nlsdual.cli import main
+
+    buf = io.StringIO()
+    with redirect_stdout(buf):
+        if main(["dirac", "--lagrangian", f"l{n}", "--direction", direction]) != 0:
+            raise RuntimeError(f"nlsdual dirac l{n} {direction} failed")
+    report = json.loads(buf.getvalue())
+    return {k: report[k] for k in perfbench_workloads()._DIRAC_KEYS}
 
 
 def compute() -> dict:
@@ -56,6 +73,8 @@ def compute() -> dict:
     U = build_u()
     for n in PARTNERS:
         out[f"V{n}"] = canonical_digest(generate_partner(U, 1, n))
+    for n, direction in DIRAC_REPORTS:
+        out[f"dirac/l{n}-{direction}"] = canonical_digest(dirac_payload(n, direction))
     for line in (TESTS / "readme_commands.txt").read_text().splitlines():
         buf = io.StringIO()
         with redirect_stdout(buf):

@@ -95,3 +95,41 @@ def test_guards_match_on_calls_and_collections_separately():
     assert bench_pairs.guards_match(parent, fewer) == {"calls": False, "gc_collections": True}
     assert bench_pairs.guards_match(parent, _guard({"ringcore.mul": 3}, [1, 0, 0])) == {
         "calls": True, "gc_collections": False}
+
+
+def test_a_workload_that_aborts_three_times_is_marked_and_the_rest_is_written(tmp_path,
+                                                                              monkeypatch):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": n, "better": b} for n, b in BETTER.items()]}))
+    calls = []
+
+    def run_one(tree, workload, seed):
+        calls.append((tree.name, workload, seed))
+        if workload == "cli-reports" and tree.name == "change":
+            raise RuntimeError("exit 1: perfbench: Expecting value: line 1 column 1 (char 0)")
+        return _result(tmp_path, f"{tree.name}-{workload}-{seed}", 1.0 + seed % 2)
+
+    monkeypatch.setattr(bench_pairs, "ROOT", tmp_path)
+    monkeypatch.setattr(bench_pairs, "_git", lambda *args, **kw: "c0ffee")
+    monkeypatch.setattr(bench_pairs, "archive", lambda treeish, dest: None)
+    monkeypatch.setattr(bench_pairs, "run_tier1", lambda tree: {"exit": 0})
+    monkeypatch.setattr(bench_pairs, "sampler_guard", lambda tree: _guard({}, [0, 0, 0]))
+    monkeypatch.setattr(bench_pairs, "run_one", run_one)
+
+    code = bench_pairs.main(["--label", "t", "--pairs", "2",
+                             "--workloads", "cli-reports,exact-sweep"])
+    assert code == 1
+    rec = json.loads((tmp_path / "BENCH_t.json").read_text())
+    seed = bench_pairs.FIRST_SEED
+    # pair 1 runs cli-reports on the parent, then three times on the change;
+    # pair 2 runs only exact-sweep, the change first
+    assert calls == [("parent", "cli-reports", seed)] + [("change", "cli-reports", seed)] * 3 + [
+        ("parent", "exact-sweep", seed), ("change", "exact-sweep", seed),
+        ("change", "exact-sweep", seed + 1), ("parent", "exact-sweep", seed + 1)]
+    aborts = [{"side": "change", "workload": "cli-reports", "seed": seed,
+               "error": "exit 1: perfbench: Expecting value: line 1 column 1 (char 0)"}] * 3
+    assert rec["not_run"] == {"cli-reports": aborts}
+    assert rec["protocol"]["aborted_runs"] == aborts
+    for side in bench_pairs.SIDES:
+        assert list(rec[side]["workloads"]) == ["exact-sweep"]
+        assert rec[side]["workloads"]["exact-sweep"]["metrics"]["wall_s"]["values"] == [2.0, 1.0]

@@ -523,17 +523,32 @@ def test_constraint_matrix_inverse_is_the_per_column_one(level, direction):
             assert entry == (Coeff.one() if i == j else Coeff.zero())
 
 
-@pytest.mark.parametrize("level", [2, 3])
-def test_time_multipliers_solve_the_consistency_conditions(level):
-    # {H, C_j} + sum_k alpha_k {C_k, C_j} = 0; in the time direction H holds
-    # psi-jets only, so no elimination enters {H, C_j}
-    res = dirac_pipeline(build_level_lagrangian(level), "time")
-    cs = res.constraints
+def _assert_multipliers_solve_the_consistency_conditions(cs, Hred, w, elim):
+    # {H*, C_j} + sum_k alpha_k {C_k, C_j} = 0 on the reduced Hamiltonian H*,
+    # with {H*, C_j} bracketed as a local polynomial and the eliminations
+    # substituted, the route that stage 5 shortens to a contraction
     assert any(not a.is_zero() for a in cs.multipliers)
     for j, C in enumerate(cs.constraints):
-        lhs = integral_bracket(res.hamiltonian_density, C, canonical_table(cs), "x")
+        lhs = integral_bracket(Hred, C, canonical_table(cs), w)._replace_jets(elim)
         lhs = lhs + DiffPoly.sum(a.scale(cs.M[k][j]) for k, a in enumerate(cs.multipliers))
         assert lhs.is_zero(), j
+
+
+@pytest.mark.parametrize("level", [2, 3])
+def test_time_multipliers_solve_the_consistency_conditions(level):
+    # in the time direction H holds psi-jets only, so no elimination enters
+    res = dirac_pipeline(build_level_lagrangian(level), "time")
+    _assert_multipliers_solve_the_consistency_conditions(res.constraints,
+                                                          res.hamiltonian_density, "x", {})
+
+
+@pytest.mark.parametrize("level", range(3, 8))
+def test_space_multipliers_solve_the_consistency_conditions(level):
+    cs = dirac_pipeline(build_level_lagrangian(level), "space").constraints
+    _, Hc, _, _ = B._legendre(cs.lagrangian, list(cs.coords), "x")
+    elim = B._elimination_map(list(cs.constraints))
+    _assert_multipliers_solve_the_consistency_conditions(cs, Hc._replace_jets(elim),
+                                                          ("t", level), elim)
 
 
 def test_level2_space_pipeline_printed():
@@ -597,6 +612,21 @@ def test_field_dependent_constraint_matrix_rejected():
     f = mono([pj(), pj(), qj()], HALF_I)
     L = kinetic_term(2) * DiffPoly.const(1) + f * v(pj(0, [(2, 1)]))
     with pytest.raises(ValueError):
+        dirac_pipeline(L, "time")
+
+
+_PHI = JetVar("phi")
+
+
+@pytest.mark.parametrize("jet", [_PHI, _PHI.prolong_x(), _PHI.prolong_t(3)],
+                         ids=["phi", "phi_x", "phi_t3"])
+def test_a_foreign_field_raises_in_both_directions(jet):
+    # the premise of the stage 4 and 5 docstrings: the pipeline returns no
+    # result for a Lagrangian in a field other than psi and psibar
+    L = build_level_lagrangian(3) + mono([qj(), pj(), jet])
+    with pytest.raises(ValueError, match="unexpected field 'phi'"):
+        dirac_pipeline(L, "space")
+    with pytest.raises(ValueError, match=f"density contains undeclared jet {jet!r}"):
         dirac_pipeline(L, "time")
 
 

@@ -12,6 +12,8 @@ import pytest
 
 from nlsdual import brackets, hierarchy
 from nlsdual.cli import main
+from helpers import canonical_digest
+from record_digests import DIRAC_REPORTS, dirac_payload
 
 TESTS = Path(__file__).resolve().parent
 SRC = TESTS.parent / "src"
@@ -40,6 +42,16 @@ def test_readme_command_prints_its_recorded_report(capsys, line):
     assert main(line.split()) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode()).hexdigest() == digests[f"readme/{line}"]
+
+
+@pytest.mark.parametrize("level,direction", DIRAC_REPORTS,
+                         ids=[f"l{n}-{d}" for n, d in DIRAC_REPORTS])
+def test_dirac_report_payload_matches_its_recorded_digest(level, direction):
+    # constraints, constraint matrix, multipliers, table, density and
+    # Hamilton checks of every level 2-7 report in both directions
+    digests = json.loads((TESTS / "digests.json").read_text())
+    key = f"dirac/l{level}-{direction}"
+    assert canonical_digest(dirac_payload(level, direction)) == digests[key]
 
 
 def test_gen_v_latex(capsys):

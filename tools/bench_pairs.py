@@ -30,7 +30,9 @@ benchmark's speed sampler takes its first sample about 7 ms into a
 command, so a change that shortens these commands' ``main`` can leave a
 pass with no sample (ROADMAP item 1(a)).  A run that ``perfbench/run.py``
 aborts is listed with its error and run again with the same seed, at most
-twice.
+twice.  A workload with a run that aborts three times is not run further:
+the file lists it under ``not_run`` with its aborted runs, the other
+workloads finish their pairs, and the tool exits 1 after writing the file.
 """
 
 from __future__ import annotations
@@ -215,6 +217,34 @@ def summarise(parent: list, change: list, better: dict) -> dict:
     return out
 
 
+def run_pairs(trees: dict, workloads: list, pairs: int):
+    """The result files of each workload and side, the runs that the harness
+    aborted, and the workloads that stopped after a run aborted three times.
+
+    An aborted run is kept in the record and run again with its seed, at
+    most twice; the other workloads go on with their pairs.
+    """
+    files = {w: {side: [] for side in SIDES} for w in workloads}
+    aborted, not_run = [], []
+    for i in range(pairs):
+        seed = FIRST_SEED + i
+        for w in workloads:
+            for side in SIDES if i % 2 == 0 else reversed(SIDES):
+                if w in not_run:
+                    break
+                print(f"pair {i + 1}/{pairs} {w} {side}", file=sys.stderr)
+                for _ in range(3):
+                    try:
+                        files[w][side].append(run_one(trees[side], w, seed))
+                        break
+                    except RuntimeError as exc:
+                        aborted.append({"side": side, "workload": w, "seed": seed,
+                                        "error": str(exc)})
+                else:
+                    not_run.append(w)
+    return files, aborted, not_run
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("--label", required=True)
@@ -238,41 +268,29 @@ def main(argv=None) -> int:
             print(f"tier-1 and sampler guard {side}", file=sys.stderr)
             tier1[side] = run_tier1(trees[side])
             guard[side] = sampler_guard(trees[side])
-        files = {w: {side: [] for side in SIDES} for w in workloads}
-        # a run that the harness itself aborts is kept in the record and run again, at most twice
-        aborted = []
-        for i in range(args.pairs):
-            seed = FIRST_SEED + i
-            for w in workloads:
-                for side in SIDES if i % 2 == 0 else reversed(SIDES):
-                    print(f"pair {i + 1}/{args.pairs} {w} {side}", file=sys.stderr)
-                    for _ in range(3):
-                        try:
-                            files[w][side].append(run_one(trees[side], w, seed))
-                            break
-                        except RuntimeError as exc:
-                            aborted.append({"side": side, "workload": w, "seed": seed,
-                                            "error": str(exc)})
-                    else:
-                        raise RuntimeError(f"{w} on the {side} side aborted three times")
+        files, aborted, not_run = run_pairs(trees, workloads, args.pairs)
         summaries = {w: summarise(files[w]["parent"], files[w]["change"], better)
-                     for w in workloads}
+                     for w in workloads if w not in not_run}
         record = {"label": args.label,
                   "protocol": {"pairs": args.pairs, "seconds": SECONDS,
                                "seeds": [FIRST_SEED, FIRST_SEED + args.pairs - 1],
                                "order": "parent first in even pairs, change first in odd",
                                "env": {"PYTHONDONTWRITEBYTECODE": "1"},
                                "aborted_runs": aborted},
+                  "not_run": {w: [a for a in aborted if a["workload"] == w] for w in not_run},
                   "sampler_guard_match": guards_match(guard["parent"], guard["change"])}
         for side in SIDES:
             record[side] = {"commit": commits[side], "tier1": tier1[side],
                             "sampler_guard": guard[side],
-                            "workloads": {w: summaries[w][side] for w in workloads}}
+                            "workloads": {w: s[side] for w, s in summaries.items()}}
     finally:
         shutil.rmtree(tmp, ignore_errors=True)
     out = ROOT / f"BENCH_{args.label}.json"
     out.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {out}")
+    if not_run:
+        print(f"not run: {', '.join(not_run)}", file=sys.stderr)
+        return 1
     return 0
 
 
